@@ -1,14 +1,16 @@
 """texcorpus benchmark: harvest, extract and analyse seeded corpora.
 
-    python3 perfbench/run.py --workload small-docs --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload papers --seed 1 --seconds 60 --trace 0
 
 Run it from the root of a source checkout; it imports the package from
 ``src/`` there and nowhere else. With ``--trace 0`` it times the pipeline
-end to end: set-up, then repeated passes of harvest, ``extract`` at
-``--jobs 1`` and ``--jobs N`` (N = CPUs), the four analysis subcommands and
-the maximal-comment partition, until ``--seconds`` have passed. Each metric
-is the median over passes. With ``--trace 1`` it makes the traced run of
-``traced.py`` instead and reports per-layer metrics.
+end to end: set-up, one harvest, then repeated passes of ``extract`` at
+``--jobs 1`` and ``--jobs N`` (N = CPUs) and the four analysis subcommands,
+until ``--seconds`` have passed. Between every two stages, partitioning
+the oracle strings and repeating the set-up each keep a fixed share of the
+run's time. Each metric is the mean of its samples. With ``--trace 1``
+it makes the traced run of ``traced.py`` instead and reports per-layer
+metrics.
 
 Every metric is printed by name with its unit and sample count. The last
 line of standard output is one JSON object: ``correct``, ``attempted``,
@@ -37,11 +39,17 @@ ROOT = Path.cwd()
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".perfbench_out"
 WORK_DIR = ROOT / ".perfbench_work"
-# Set-up is repeated at least this often and for at least this long; its
-# median is the reported setup_s.
-SETUP_MIN_REPEATS = 3
-SETUP_MIN_SECONDS = 0.5
-PARTITION_SHARE_S = 0.5
+# Set-up runs this often before anything else, then again in the slots
+# between two stages while it has had less than SETUP_SHARE of the time
+# since the first pass began; setup_s is the mean of all its samples.
+SETUP_FIRST_REPEATS = 5
+SETUP_SHARE = 0.04
+# Per workload: rounds of the four analysis commands after each extract
+# pair, and the share of the run's time the slots give to partitioning.
+# On hostile the analysis commands fail fast (extract writes nothing), so
+# two rounds fit, and its long oracle strings need the larger share.
+ANALYSIS_ROUNDS = {"papers": 1, "hostile": 2}
+PARTITION_SHARE = {"papers": 0.08, "hostile": 0.15}
 
 # Every end-to-end metric, in pipeline order. Three are printed but not
 # listed in BENCHMARK.json: the two failure ratios are 0 on healthy input
@@ -138,111 +146,149 @@ def metadata(args: argparse.Namespace, inputs: corpus.Inputs) -> dict:
 # ---------------------------------------------------------------- end to end
 
 
-def run_pass(inputs: corpus.Inputs, pass_dir: Path, env: dict, samples: stages.Samples, tally: stages.Tally, state: dict) -> None:
-    """One pass of the whole pipeline over a fresh store."""
-    from texcorpus.harvest import CorpusStore
+class OracleRotation:
+    """Partitions the oracle strings one at a time, in order, between stages.
 
+    Each full round over the strings is one ``partition_s`` sample, the sum
+    of their times, so a round's strings are timed at different moments of
+    the run and the mean over rounds averages the machine's phases.
+    """
+
+    def __init__(self, strings: list[str], samples: stages.Samples, tally: stages.Tally):
+        self.strings = strings
+        self.samples = samples
+        self.tally = tally
+        self.reference: list = [None] * len(strings)
+        self.next = 0
+        self.round_s = 0.0
+        self.rounds = 0
+        self.spent_s = 0.0
+
+    def step(self) -> None:
+        k = self.next
+        times, results, calls = stages.partition_all([self.strings[k]])
+        if self.reference[k] is None:
+            self.reference[k] = results[0]
+        stages.check_partition([self.strings[k]], results, calls, [self.reference[k]], self.tally)
+        seconds = times[0][1] - times[0][0]
+        self.round_s += seconds
+        self.spent_s += seconds
+        self.next = (k + 1) % len(self.strings)
+        if self.next == 0:
+            self.samples.add("partition_s", self.round_s, "s")
+            self.round_s = 0.0
+            self.rounds += 1
+
+    def finish(self) -> None:
+        """Complete the round in progress, or make the first one."""
+        while self.next or not self.rounds:
+            self.step()
+
+
+def extract_pass(store_dir: Path, docs: dict, stored: list[str], pass_dir: Path, env: dict, samples: stages.Samples, tally: stages.Tally, slot) -> stages.Extracted:
+    """``extract`` at ``--jobs 1`` and ``--jobs N`` into a fresh pass directory."""
+    shutil.rmtree(pass_dir, ignore_errors=True)
     pass_dir.mkdir(parents=True)
-    store_dir = pass_dir / "store"
-    log = pass_dir / "children.log"
-
-    # The partition runs between the other stages, so the pass's mean time
-    # per repetition averages over the machine's fast and slow phases. It
-    # repeats until it has had its share of the pass, at least once.
-    partition = [0.0, 0]
-
-    def partition_slot() -> None:
-        if partition[1] and partition[0] >= PARTITION_SHARE_S:
-            return
-        seconds, results, calls = stages.partition_all(inputs.oracle_strings)
-        stages.check_partition(inputs.oracle_strings, results, calls, state.setdefault("partition", results), tally)
-        partition[0] += seconds
-        partition[1] += 1
-
-    harvested = stages.harvest(inputs, store_dir)
-    samples.add("harvest_s", harvested.seconds, "s")
-    samples.add("harvest_failed_ratio", stages.check_harvest(inputs, store_dir, harvested, tally), "ratio")
-    partition_slot()
-
-    docs = {doc.id: doc for doc in inputs.valid_docs()}
-    stored = CorpusStore(store_dir).ids()
-    outs = {}
-    failed_docs = 0
-    for jobs, metric in ((1, "extract_s"), (stages.JOBS_N, "extract_par_s")):
-        out = pass_dir / f"extract-j{jobs}"
-        rss_file = pass_dir / "extract-j1.rss" if jobs == 1 else None
-        run = stages.run_child(stages.extract_argv(store_dir, out, jobs, rss_file), env, log)
-        samples.add(metric, run.seconds, "s")
-        if rss_file:
-            samples.add("extract_peak_rss_mb", stages.peak_rss_mb(rss_file), "MB")
-        failed, words = stages.check_extract(docs, stored, out, run, tally, f"extract --jobs {jobs}")
-        failed_docs += failed
-        state.setdefault("words_written", words)
-        outs[jobs] = out
-        partition_slot()
+    extracted = stages.extract_both(store_dir, pass_dir, docs, stored, env, pass_dir / "children.log", tally, between=slot)
+    samples.add("extract_s", extracted.runs[1].seconds, "s")
+    samples.add("extract_par_s", extracted.runs[stages.JOBS_N].seconds, "s")
+    samples.add("extract_peak_rss_mb", extracted.peak_rss_mb, "MB")
     if stored:
-        samples.add("extract_failed_ratio", failed_docs / (2 * len(stored)), "ratio")
-    identical = stages.same_outputs(outs[1], outs[stages.JOBS_N])
-    if not identical:
-        tally.wrong_output(f"extract: --jobs 1 and --jobs {stages.JOBS_N} outputs differ")
-    tally.add("extract-identical", 1, 0 if identical else 1)
+        samples.add("extract_failed_ratio", extracted.failed_docs / (2 * len(stored)), "ratio")
+    return extracted
 
-    features = outs[1] / "features.ndjson"
+
+def analysis_round(extracted: stages.Extracted, pass_dir: Path, env: dict, samples: stages.Samples, tally: stages.Tally, slot) -> None:
+    """The four analysis commands, each checked, on the pass's ``--jobs 1`` output."""
+    features = extracted.outs[1] / "features.ndjson"
     n_features = len(stages.read_records(features, "texcorpus.features") or [])
-    for metric, argv in stages.analysis_commands(features, outs[1] / "words.ndjson", pass_dir / "analysis"):
-        run = stages.run_child(argv, env, log)
+    out_dir = pass_dir / "analysis"
+    for metric, argv in stages.analysis_commands(features, extracted.outs[1] / "words.ndjson", out_dir):
+        run = stages.run_child(argv, env, pass_dir / "children.log")
         samples.add(metric, run.seconds, "s")
-        problem = stages.check_analysis(metric, pass_dir / "analysis", n_features) if run.code == 0 else None
+        problem = stages.check_analysis(metric, out_dir, n_features) if run.code == 0 else None
         if run.code != 0:
             tally.error(f"{metric[:-2]}: exit {run.code}")
         elif problem:
             tally.wrong_output(problem)
-        tally.add(metric[:-2], 1, 0 if run.code == 0 and problem is None else 1)
-        partition_slot()
-    samples.add("partition_s", partition[0] / partition[1], "s")
+        tally.one(metric[:-2], run.code == 0 and problem is None)
+        slot()
 
 
-def timed_setup(args: argparse.Namespace, samples: stages.Samples, digests: set[str]) -> corpus.Inputs:
+def timed_setup(args: argparse.Namespace, samples: stages.Samples, digests: set[str]) -> tuple[corpus.Inputs, float]:
     """Generate the inputs once, as a setup_s sample; record their digest."""
     start = time.perf_counter()
     inputs = corpus.generate(args.workload, args.seed)
-    samples.add("setup_s", time.perf_counter() - start, "s")
+    seconds = time.perf_counter() - start
+    samples.add("setup_s", seconds, "s")
     digests.add(inputs_digest(inputs))
-    return inputs
+    return inputs, seconds
 
 
 def end_to_end(args: argparse.Namespace, work: Path) -> tuple[stages.Samples, stages.Tally, corpus.Inputs, dict]:
+    from texcorpus.harvest import CorpusStore
+
     samples = stages.Samples()
     tally = stages.Tally()
     digests: set[str] = set()
-    while len(samples.values.get("setup_s", ())) < SETUP_MIN_REPEATS or sum(samples.values["setup_s"]) < SETUP_MIN_SECONDS:
-        inputs = timed_setup(args, samples, digests)
+    for _ in range(SETUP_FIRST_REPEATS):
+        inputs = timed_setup(args, samples, digests)[0]
     # The inputs live for the whole run; keep the collector from walking
     # them during the in-process stages, which a user's process would not do.
     gc.collect()
     gc.freeze()
 
-    env = stages.child_env(SRC)
-    state: dict = {}
+    # One harvest a run: every pass extracts from its store.
+    store_dir = work / "store"
+    harvested = stages.harvest(inputs, store_dir)
+    samples.add("harvest_s", harvested.seconds, "s")
+    samples.add("harvest_failed_ratio", stages.check_harvest(inputs, store_dir, harvested, tally), "ratio")
+    docs = {doc.id: doc for doc in inputs.valid_docs()}
+    stored = CorpusStore(store_dir).ids()
+
+    oracle = OracleRotation(inputs.oracle_strings, samples, tally)
+    partition_share = PARTITION_SHARE[args.workload]
+    setup_s = [0.0]
     start = time.perf_counter()
-    passes = 0
+
+    def slot() -> None:
+        # set-up and partitioning keep their shares of the time so far
+        elapsed = time.perf_counter() - start
+        if setup_s[0] < SETUP_SHARE * elapsed:
+            setup_s[0] += timed_setup(args, samples, digests)[1]
+        while oracle.spent_s < partition_share * elapsed:
+            oracle.step()
+
+    # Passes of extract then analysis while a whole pass fits in the
+    # window (the first always runs), then analysis rounds alone while
+    # they fit.
+    env = stages.child_env(SRC)
+    pass_dir = work / "pass"
+    deadline = start + args.seconds
+    extracted = None
+    extract_cost = analysis_cost = 0.0
+    passes = rounds = 0
+    words = 0
     while True:
-        begun = time.perf_counter()
-        run_pass(inputs, work / "pass", env, samples, tally, state)
-        # Files deleted soon after they are written never reach the disk,
-        # so one pass's writes do not slow the next pass down.
-        shutil.rmtree(work / "pass")
-        # One more set-up per pass spreads its samples over the whole run.
-        timed_setup(args, samples, digests)
-        passes += 1
         now = time.perf_counter()
-        # stop before a pass that would end past the measuring window
-        if now + (now - begun) > start + args.seconds:
+        if extracted is None or now + extract_cost + analysis_cost <= deadline:
+            extracted = extract_pass(store_dir, docs, stored, pass_dir, env, samples, tally, slot)
+            words = extracted.words or words
+            passes += 1
+            extract_cost = time.perf_counter() - now
+        elif now + analysis_cost > deadline:
             break
+        begun = time.perf_counter()
+        for _ in range(ANALYSIS_ROUNDS[args.workload]):
+            analysis_round(extracted, pass_dir, env, samples, tally, slot)
+            rounds += 1
+        analysis_cost = time.perf_counter() - begun
+    oracle.finish()
     if len(digests) != 1:
         tally.wrong_output("setup: the same seed generated different inputs")
-    tally.add("setup", len(samples.values["setup_s"]), len(digests) - 1)
-    return samples, tally, inputs, {"passes": passes, "words_written": state.get("words_written", 0)}
+    tally.one("setup", len(digests) == 1)
+    extra = {"passes": passes, "analysis_rounds": rounds, "oracle_rounds": oracle.rounds, "words_written": words}
+    return samples, tally, inputs, extra
 
 
 # ---------------------------------------------------------------- main
@@ -287,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"{name:24s} {'n/a':>12s}")
     for stage in tally.attempted:
-        print(f"ops {stage:22s} attempted={tally.attempted[stage]} failed={tally.failed[stage]}")
+        print(f"ops {stage:22s} attempted={len(tally.attempted[stage])} failed={len(tally.failed[stage])}")
     for message in tally.errors:
         print(f"error: {message}")
     for message in tally.wrong:
@@ -298,10 +344,10 @@ def main(argv: list[str] | None = None) -> int:
     declared = [m["name"] for m in spec["per_layer" if args.trace else "end_to_end"]]
     result = {
         "correct": not tally.wrong,
-        "attempted": sum(tally.attempted.values()),
-        "failed": sum(tally.failed.values()),
+        "attempted": sum(map(len, tally.attempted.values())),
+        "failed": sum(map(len, tally.failed.values())),
         "metrics": {
-            name: {"value": samples.median(name), "unit": samples.units[name]}
+            name: {"value": samples.value(name), "unit": samples.units[name]}
             for name in declared
             if name in samples.values
         },

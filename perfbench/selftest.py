@@ -83,7 +83,10 @@ def test_check_extract_counts_a_wrong_planted_count(tmp_path):
     (out / "features.ndjson").write_text("\n".join(lines) + "\n")
     tally = stages.Tally()
     assert stages.check_extract(docs, ids, out, run, tally, "extract")[0] == 1
-    assert tally.wrong and tally.failed["extract"] == 1
+    assert tally.wrong and len(tally.failed["extract"]) == 1
+    # a repetition counts the same operations again, not new ones
+    stages.check_extract(docs, ids, out, run, tally, "extract")
+    assert len(tally.attempted["extract"]) == len(ids) and len(tally.failed["extract"]) == 1
 
 
 @pytest.mark.parametrize("trace", (0, 1))
@@ -104,6 +107,7 @@ def test_one_pass_reports_every_metric(workload, trace):
     if not trace:
         assert all(m["value"] > 0 for m in result["metrics"].values())
     if trace:
+        assert result["metrics"]["trace.overhead_s"]["value"] > 0
         lengths = corpus.ORACLE_LENGTHS[workload]
         assert result["metrics"]["comments.partition.oracle_calls"]["value"] == sum(n * (n + 1) // 2 for n in lengths)
 

@@ -30,16 +30,27 @@ CHILD_TIMEOUT_S = 120.0
 
 @dataclass
 class Tally:
-    """Operations attempted and failed, per stage, plus what went wrong."""
+    """Operations attempted and failed, per stage, plus what went wrong.
 
-    attempted: dict[str, int] = field(default_factory=dict)
-    failed: dict[str, int] = field(default_factory=dict)
+    An operation is one named unit of a stage's work, such as extracting one
+    document. A run repeats its operations for timing; each counts once, as
+    failed if any repetition failed, so the counts depend on the workload
+    and the program but not on how many repetitions fit in the run.
+    """
+
+    attempted: dict[str, set] = field(default_factory=dict)
+    failed: dict[str, set] = field(default_factory=dict)
     wrong: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
 
-    def add(self, stage: str, attempted: int, failed: int) -> None:
-        self.attempted[stage] = self.attempted.get(stage, 0) + attempted
-        self.failed[stage] = self.failed.get(stage, 0) + failed
+    def add(self, stage: str, items, failed=()) -> None:
+        """Record the named operations of a stage and those of them that failed."""
+        self.attempted.setdefault(stage, set()).update(items)
+        self.failed.setdefault(stage, set()).update(failed)
+
+    def one(self, stage: str, ok: bool) -> None:
+        """Record a stage that is a single operation."""
+        self.add(stage, [stage], [] if ok else [stage])
 
     def wrong_output(self, message: str) -> None:
         """A check found an output that exists but is incorrect."""
@@ -53,7 +64,14 @@ class Tally:
 
 
 class Samples:
-    """Per-metric samples; a run reports each metric's median."""
+    """Per-metric samples; a run reports each metric's mean.
+
+    A run holds only 4 to 20 samples of a metric, since its stages take
+    seconds each. Over such few samples the mean varies less from run to
+    run than the median does (on the machine the README describes, the
+    spread of ten runs was about a quarter smaller), and the mean is also
+    what a user pays on average. The median is printed beside it.
+    """
 
     def __init__(self) -> None:
         self.values: dict[str, list[float]] = {}
@@ -65,14 +83,14 @@ class Samples:
         self.values.setdefault(name, []).append(value)
         self.units[name] = unit
 
-    def median(self, name: str) -> float:
-        return statistics.median(self.values[name])
+    def value(self, name: str) -> float:
+        return statistics.mean(self.values[name])
 
     def line(self, name: str) -> str:
         values = self.values[name]
         return (
-            f"{name:24s} {self.median(name):12.6g} {self.units[name]:6s}"
-            f" n={len(values):<3d} min={min(values):.6g} max={max(values):.6g}"
+            f"{name:24s} {self.value(name):12.6g} {self.units[name]:6s}"
+            f" n={len(values):<3d} min={min(values):.6g} median={statistics.median(values):.6g} max={max(values):.6g}"
         )
 
 
@@ -128,30 +146,30 @@ def check_harvest(inputs: Inputs, store_dir: Path, result: Harvested, tally: Tal
 
     store = CorpusStore(store_dir)
     valid = inputs.valid_docs()
-    missing = 0
+    missing = []
     for doc in valid:
         if not store.contains(doc.id):
-            missing += 1
+            missing.append(doc.id)
             continue
         stored = store.load(doc.id).files
         # a single gzipped file is stored as main.tex whatever its name was
         same = sorted(stored) == sorted(doc.files) if len(doc.files) > 1 else [d for _, d in stored] == [doc.files[0][1]]
         if not same:
             tally.wrong_output(f"harvest {doc.id}: stored files differ from the payload")
-            missing += 1
-    leaked = 0
+            missing.append(doc.id)
+    leaked = []
     for doc in inputs.rejected_docs():
         if store.contains(doc.id):
             tally.wrong_output(f"harvest {doc.id}: rejected {doc.shape} payload reached the store")
-            leaked += 1
+            leaked.append(doc.id)
     escaped = next(store_dir.parent.rglob("escaped.tex"), None)
     if escaped is not None:
         tally.wrong_output(f"harvest: archive member escaped the store: {escaped.name}")
-        leaked += 1
+    tally.one("harvest-contained", escaped is None)
     for message in result.aborted:
         tally.error(message)
-    tally.add("harvest", len(inputs.docs()), missing + leaked)
-    return missing / len(valid) if valid else None
+    tally.add("harvest", [doc.id for doc in inputs.docs()], missing + leaked)
+    return len(missing) / len(valid) if valid else None
 
 
 # ---------------------------------------------------------------- CLI children
@@ -278,19 +296,19 @@ def check_extract(docs: dict[str, Doc], stored_ids: list[str], out_dir: Path, ru
     words = read_records(out_dir / "words.ndjson", "texcorpus.words") if run.code == 0 else None
     if features is None or comments is None or words is None:
         tally.error(f"{label}: exit {run.code}, no complete output")
-        tally.add(label, len(stored_ids), len(stored_ids))
+        tally.add(label, stored_ids, stored_ids)
         return len(stored_ids), 0
     by_id = {record["id"]: record for record in features}
     counts: dict[str, list[int]] = {}
     for span in comments:
         pair = counts.setdefault(span["doc_id"], [0, 0])
         pair[0 if span["kind"] == "line" else 1] += 1
-    failed = 0
+    failed = []
     for doc_id in stored_ids:
         record = by_id.get(doc_id)
         if record is None:
             tally.error(f"{label} {doc_id}: no features record")
-            failed += 1
+            failed.append(doc_id)
             continue
         lines, macros = counts.get(doc_id, (0, 0))
         got = _planted_view(record, lines, macros)
@@ -298,10 +316,48 @@ def check_extract(docs: dict[str, Doc], stored_ids: list[str], out_dir: Path, ru
         if got != want:
             diff = {k: (got[k], want[k]) for k in want if got[k] != want[k]}
             tally.wrong_output(f"{label} {doc_id} ({docs[doc_id].shape}): got/planted {diff}")
-            failed += 1
-    tally.add(label, len(stored_ids), failed)
+            failed.append(doc_id)
+    tally.add(label, stored_ids, failed)
     written = sum(len(r["words"]) + len(r["comment_words"]) for r in words)
-    return failed, written
+    return len(failed), written
+
+
+@dataclass
+class Extracted:
+    """Both extract runs of a pass: their children, outputs and failures."""
+
+    runs: dict[int, ChildRun]
+    outs: dict[int, Path]
+    failed_docs: int
+    words: int
+    peak_rss_mb: float | None
+
+
+def extract_both(store_dir: Path, out_root: Path, docs: dict[str, Doc], stored_ids: list[str], env: dict, log: Path, tally: Tally, between=None) -> Extracted:
+    """``extract`` at ``--jobs 1`` (through the peak-RSS wrapper) and at ``--jobs N``.
+
+    Each run's output is checked against the planted counts, and the two
+    outputs must be byte-identical. ``between`` is called after each run.
+    """
+    runs: dict[int, ChildRun] = {}
+    outs: dict[int, Path] = {}
+    failed_docs = 0
+    words = 0
+    rss_file = out_root / "extract-j1.rss"
+    for jobs in (1, JOBS_N):
+        out = out_root / f"extract-j{jobs}"
+        runs[jobs] = run_child(extract_argv(store_dir, out, jobs, rss_file if jobs == 1 else None), env, log)
+        failed, written = check_extract(docs, stored_ids, out, runs[jobs], tally, f"extract --jobs {jobs}")
+        failed_docs += failed
+        words = words or written
+        outs[jobs] = out
+        if between is not None:
+            between()
+    identical = same_outputs(outs[1], outs[JOBS_N])
+    if not identical:
+        tally.wrong_output(f"extract: --jobs 1 and --jobs {JOBS_N} outputs differ")
+    tally.one("extract-identical", identical)
+    return Extracted(runs, outs, failed_docs, words, peak_rss_mb(rss_file))
 
 
 def same_outputs(first: Path, second: Path) -> bool:
@@ -362,18 +418,19 @@ def check_analysis(metric: str, out_dir: Path, n_features: int) -> str | None:
 # ---------------------------------------------------------------- oracle
 
 
-def partition_all(strings: list[str]) -> tuple[float, list, list[int]]:
+def partition_all(strings: list[str]) -> tuple[list[tuple[float, float]], list, list[int]]:
     """Partition every string with a fresh reference oracle.
 
-    Returns the total time, each string's result (the maximal comments, or
-    the overlapping pair the routine raised on), and each oracle's calls.
+    Returns each string's (start, end) ``perf_counter`` times, its result
+    (the maximal comments, the overlapping pair the routine raised on, or
+    the error it raised) and its oracle's calls.
     """
     from texcorpus.comments import OverlappingMaximalComments, partition_maximal_comments, reference_oracle
     from texcorpus.errors import TexcorpusError
 
+    times = []
     results = []
     calls = []
-    total = 0.0
     for s in strings:
         oracle = reference_oracle()
         start = time.perf_counter()
@@ -383,24 +440,27 @@ def partition_all(strings: list[str]) -> tuple[float, list, list[int]]:
             result = ("overlap", exc.first, exc.second)
         except TexcorpusError as exc:
             result = ("error", repr(exc))
-        total += time.perf_counter() - start
+        times.append((start, time.perf_counter()))
         results.append(result)
         calls.append(oracle.calls)
-    return total, results, calls
+    return times, results, calls
 
 
 def check_partition(strings: list[str], results: list, calls: list[int], reference: list, tally: Tally) -> None:
-    """Exactly n(n+1)/2 oracle calls per string, and the same result every time."""
-    failed = 0
+    """Exactly n(n+1)/2 oracle calls per string, and the same result every time.
+
+    Each string is an operation, named by its text.
+    """
+    failed = []
     for k, s in enumerate(strings):
         n = len(s)
         if results[k][0] == "error":
             tally.error(f"partition n={n}: {results[k][1]}")
-            failed += 1
+            failed.append(s)
         elif calls[k] != n * (n + 1) // 2:
             tally.wrong_output(f"partition n={n}: {calls[k]} oracle calls, expected {n * (n + 1) // 2}")
-            failed += 1
+            failed.append(s)
         elif results[k] != reference[k]:
             tally.wrong_output(f"partition n={n}: result changed between passes")
-            failed += 1
-    tally.add("partition", len(strings), failed)
+            failed.append(s)
+    tally.add("partition", strings, failed)

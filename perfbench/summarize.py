@@ -1,12 +1,19 @@
 """Summarize benchmark results into one BENCH file.
 
     python3 perfbench/summarize.py .perfbench_out > BENCH_<date>.json
+    python3 perfbench/summarize.py set-a set-b > BENCH_<date>.json
 
 Reads every ``<workload>-seed<n>-trace<t>.json`` the runs left in the
-directory and writes, per workload, each metric's median over the runs,
-its quartiles and its spread (the distance between the quartiles as a
+directory and writes, per workload, the median over the runs of each
+metric's run value (the mean of the run's samples, as ``run.py`` reports
+it), its quartiles and its spread (the distance between the quartiles as a
 share of the median), with the runs' metadata and failure counts. Every
 sampled metric is included, also those BENCHMARK.json does not bound.
+
+Given several directories, one set of runs each, it writes each set's
+summary under ``sets`` and, under ``shift``, how far each end-to-end
+metric's median in every later set lies from the first set's, as a share
+of the first.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ def summarize(results: list[dict]) -> dict:
         units.update(result.get("units", {}))
         units.update({name: metric["unit"] for name, metric in result["metrics"].items()})
         for name, samples in result["samples"].items():
-            values.setdefault(name, []).append(statistics.median(samples))
+            values.setdefault(name, []).append(statistics.mean(samples))
     metrics = {}
     for name, vals in values.items():
         median = statistics.median(vals)
@@ -50,7 +57,7 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
-def main(directory: str) -> int:
+def summarize_dir(directory: str) -> dict:
     groups: dict[tuple[str, int], list[dict]] = {}
     for path in sorted(Path(directory).glob("*-seed*-trace*.json")):
         result = json.loads(path.read_text())
@@ -58,9 +65,28 @@ def main(directory: str) -> int:
     out: dict = {}
     for (workload, trace), results in sorted(groups.items()):
         out.setdefault(workload, {})["per_layer" if trace else "end_to_end"] = summarize(results)
+    return out
+
+
+def shifts(first: dict, later: dict) -> dict:
+    out: dict = {}
+    for workload, modes in later.items():
+        base = first.get(workload, {}).get("end_to_end", {}).get("metrics", {})
+        for name, metric in modes.get("end_to_end", {}).get("metrics", {}).items():
+            if base.get(name, {}).get("median"):
+                out.setdefault(workload, {})[name] = metric["median"] / base[name]["median"] - 1
+    return out
+
+
+def main(directories: list[str]) -> int:
+    sets = [summarize_dir(d) for d in directories]
+    if len(sets) == 1:
+        out = sets[0]
+    else:
+        out = {"sets": dict(zip(directories, sets)), "shift": [shifts(sets[0], later) for later in sets[1:]]}
     print(json.dumps(out, indent=1))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else ".perfbench_out"))
+    sys.exit(main(sys.argv[1:] or [".perfbench_out"]))

@@ -14,8 +14,8 @@ the calls into each layer:
 * the oracle: each ``partition_maximal_comments`` call.
 
 Spans (name, start, end, parent) stay in memory and are written out at the
-end. The replay also runs once without timers; the difference between the
-two is reported as the tracing overhead.
+end. The tracing overhead is the replay's span count times the cost of one
+span, measured against the same calls made without timers.
 """
 
 from __future__ import annotations
@@ -106,6 +106,12 @@ class Tracer:
             self.stack.pop()
             self.spans[sid] = (sid, self.trace, name, start, end, parent)
             self.totals[name] = self.totals.get(name, 0.0) + (end - start)
+
+    def record(self, name: str, start: float, end: float) -> None:
+        """A span timed elsewhere, under the current parent."""
+        parent = self.stack[-1] if self.stack else None
+        self.spans.append((len(self.spans), self.trace, name, start, end, parent))
+        self.totals[name] = self.totals.get(name, 0.0) + (end - start)
 
     def wrap(self, name: str, fn):
         def traced(*args, **kwargs):
@@ -243,7 +249,7 @@ REPLAYED = (
 
 
 def traced_extraction(tracer: Tracer, store_dir: Path, shapes: dict[str, str], add, tally: stages.Tally) -> tuple[list, dict]:
-    """Parent spans, the traced replay and the untimed replay.
+    """Parent spans and the traced replay.
 
     Returns the extraction results and the ``extract_document`` seconds
     per document shape.
@@ -254,6 +260,7 @@ def traced_extraction(tracer: Tracer, store_dir: Path, shapes: dict[str, str], a
     store = CorpusStore(store_dir)
     ids = store.ids()
     results = []
+    failed = []
     source_bytes = 0
     by_shape: dict[str, float] = {}
     for doc_id in ids:
@@ -265,30 +272,23 @@ def traced_extraction(tracer: Tracer, store_dir: Path, shapes: dict[str, str], a
             source_bytes += sum(len(data) for _, data in doc.files)
         except Exception as exc:  # noqa: BLE001 - one document's crash is counted, not fatal
             tally.error(f"extract_document {doc_id}: {exc!r}")
+            failed.append(doc_id)
         shape = shapes[doc_id]
         by_shape[shape] = by_shape.get(shape, 0.0) + tracer.total("features.extract_document") - before
-    tally.add("extract_document", len(ids), len(ids) - len(results))
+    tally.add("extract_document", ids, failed)
 
     counts = [0, 0, 0, 0]
-    replayed = 0
-    start = time.perf_counter()
+    unreplayed = []
+    spans_before = len(tracer.spans)
     for doc_id in ids:
         tracer.trace = doc_id
         try:
             counts = [a + b for a, b in zip(counts, replay(tracer, store, doc_id))]
-            replayed += 1
         except Exception as exc:  # noqa: BLE001
             tally.error(f"replay {doc_id}: {exc!r}")
-    traced_s = time.perf_counter() - start
-    tally.add("replay", len(ids), len(ids) - replayed)
-
-    start = time.perf_counter()
-    for doc_id in ids:
-        try:
-            replay(Untimed, store, doc_id)
-        except Exception:  # noqa: BLE001 - already counted by the traced replay
-            pass
-    untimed_s = time.perf_counter() - start
+            unreplayed.append(doc_id)
+    tally.add("replay", ids, unreplayed)
+    replay_spans = len(tracer.spans) - spans_before
 
     parent = tracer.total("features.extract_document")
     tokenize_s = tracer.total("lexer.tokenize")
@@ -306,8 +306,35 @@ def traced_extraction(tracer: Tracer, store_dir: Path, shapes: dict[str, str], a
     add("comments.unbalanced", counts[3])
     add("features.extract_document.mb_per_s", source_bytes / 1e6 / parent if parent else None)
     add("features.replay_coverage", sum(tracer.total(n) for n in REPLAYED) / parent if parent else None)
-    add("trace.overhead_s", traced_s - untimed_s)
+    add("trace.overhead_s", replay_spans * span_cost_s())
     return results, by_shape
+
+
+def span_cost_s(blocks: int = 7, calls: int = 20000) -> float:
+    """Seconds one span adds to a call.
+
+    Times ``Tracer.call`` and ``Untimed.call`` around the same no-op in
+    alternating blocks and returns the median over block pairs of the
+    difference per call. A whole replay cannot resolve this: a document's
+    replay time varies by milliseconds between repeats, a span costs about
+    a microsecond.
+    """
+
+    def noop() -> None:
+        return None
+
+    diffs = []
+    for _ in range(blocks):
+        tracer = Tracer()
+        start = time.perf_counter()
+        for _ in range(calls):
+            tracer.call("noop", noop)
+        timed = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(calls):
+            Untimed.call("noop", noop)
+        diffs.append((timed - (time.perf_counter() - start)) / calls)
+    return statistics.median(diffs)
 
 
 # ---------------------------------------------------------------- analysis
@@ -363,7 +390,7 @@ def traced_analysis(tracer: Tracer, features: Path, words: Path, out_dir: Path, 
             code = tracer.call(f"cli.{command[0]}", cli.main, command)
             if code != 0:
                 tally.error(f"{command[0]} in-process: exit {code}")
-            tally.add(f"{command[0]} in-process", 1, 0 if code == 0 else 1)
+            tally.one(f"{command[0]} in-process", code == 0)
     for name in (
         "cli.read_features", "cli.read_words", "stats.summarize", "stats.build_table",
         "stats.discriminative", "stats.linear_trend", "classify.train_classifier", "classify.evaluate",
@@ -395,13 +422,10 @@ def traced_run(args, work: Path, src: Path, out_dir: Path):
 
     docs = {doc.id: doc for doc in inputs.valid_docs()}
     stored = CorpusStore(store_dir).ids()
-    runs = {}
-    for jobs in (1, stages.JOBS_N):
-        out = work / f"extract-j{jobs}"
-        runs[jobs] = stages.run_child(stages.extract_argv(store_dir, out, jobs), env, log)
-        stages.check_extract(docs, stored, out, runs[jobs], tally, f"extract --jobs {jobs}")
+    extracted = stages.extract_both(store_dir, work, docs, stored, env, log, tally)
+    runs = extracted.runs
     add("cli.extract.speedup", runs[1].seconds / runs[stages.JOBS_N].seconds)
-    add("cli.extract.out_mb", sum((work / "extract-j1" / name).stat().st_size for name in stages.EXTRACT_OUTPUTS if (work / "extract-j1" / name).exists()) / 1e6)
+    add("cli.extract.out_mb", sum((extracted.outs[1] / name).stat().st_size for name in stages.EXTRACT_OUTPUTS if (extracted.outs[1] / name).exists()) / 1e6)
     imports = [stages.run_child([stages.cli()[0], "-c", "import texcorpus.cli"], env, log).seconds for _ in range(IMPORT_REPEATS)]
     add("cli.import_s", statistics.median(imports))
 
@@ -412,33 +436,23 @@ def traced_run(args, work: Path, src: Path, out_dir: Path):
     if runs[1].code == 0:
         # the replay's parent spans must reproduce what the CLI wrote
         for mine, cli_out in ((features, "features.ndjson"), (words, "words.ndjson")):
-            same = mine.read_bytes() == (work / "extract-j1" / cli_out).read_bytes()
+            same = mine.read_bytes() == (extracted.outs[1] / cli_out).read_bytes()
             if not same:
                 tally.wrong_output(f"extract_document output differs from the CLI's {cli_out}")
-            tally.add("replay-matches-cli", 1, 0 if same else 1)
+            tally.one("replay-matches-cli", same)
     traced_analysis(tracer, features, words, work / "analysis", add, tally)
 
-    from texcorpus.comments import OverlappingMaximalComments, partition_maximal_comments, reference_oracle
-
     tracer.trace = "oracle"
-    calls = 0
+    strings = inputs.oracle_strings
+    times, partitions, calls = stages.partition_all(strings)
+    stages.check_partition(strings, partitions, calls, partitions, tally)
     by_length = {}
-    for s in inputs.oracle_strings:
-        oracle = reference_oracle()
-        before = tracer.total("comments.partition")
-        try:
-            tracer.call("comments.partition", partition_maximal_comments, s, oracle)
-        except OverlappingMaximalComments:
-            pass
-        by_length[len(s)] = tracer.total("comments.partition") - before
-        calls += oracle.calls
-    expected = sum(len(s) * (len(s) + 1) // 2 for s in inputs.oracle_strings)
-    if calls != expected:
-        tally.wrong_output(f"partition: {calls} oracle calls, expected {expected}")
-    tally.add("partition", 1, 0 if calls == expected else 1)
+    for s, (start, end) in zip(strings, times):
+        tracer.record("comments.partition", start, end)
+        by_length[len(s)] = end - start
     add("comments.partition.s", tracer.total("comments.partition"))
-    add("comments.partition.oracle_calls", calls)
-    add("comments.partition.us_per_call", tracer.total("comments.partition") / calls * 1e6)
+    add("comments.partition.oracle_calls", sum(calls))
+    add("comments.partition.us_per_call", tracer.total("comments.partition") / sum(calls) * 1e6)
 
     tracer.write(out_dir / f"spans-{args.workload}-seed{args.seed}.ndjson")
     extra = {
