@@ -53,6 +53,7 @@ from .lexer import (
     TokenKind,
     alphabetic_words,
     detect_main_file,
+    group_closers,
     tokenize,
 )
 from .stats import (
@@ -102,6 +103,7 @@ __all__ = [
     "extract_document",
     "extract_line_comments",
     "extract_macro_comments",
+    "group_closers",
     "harvest_into_store",
     "inline_sources",
     "is_comment",

@@ -15,7 +15,21 @@ import re
 from dataclasses import dataclass
 
 from .errors import Diagnostic, TexcorpusError
-from .lexer import Token, TokenKind, alphabetic_words
+from .lexer import (
+    _SKIPPABLE,
+    COMMAND,
+    GROUP_CLOSE,
+    GROUP_OPEN,
+    LINE_COMMENT,
+    OPT_CLOSE,
+    OPT_OPEN,
+    OTHER,
+    WORD,
+    Token,
+    _next_significant,
+    alphabetic_words,
+    group_closers,
+)
 
 
 @dataclass(frozen=True)
@@ -69,10 +83,16 @@ class NormalizingOracle(CompilationOracle):
     def __init__(self, normalize):
         self._normalize = normalize
         self.calls = 0
+        # (first, normalized first) of the last call, keyed on identity:
+        # partitioning compares one unchanged string against n(n+1)/2 edits
+        self._last_first: tuple[str, object] | None = None
 
     def equivalent(self, first: str, second: str) -> bool:
         self.calls += 1
-        return self._normalize(first) == self._normalize(second)
+        cached = self._last_first
+        if cached is None or cached[0] is not first:
+            cached = self._last_first = (first, self._normalize(first))
+        return cached[1] == self._normalize(second)
 
 
 def strip_line_comments(text: str) -> str:
@@ -237,7 +257,7 @@ def extract_line_comments(source: str, tokens: list[Token]) -> list[CommentSpan]
     """
     spans: list[CommentSpan] = []
     for tok in tokens:
-        if tok.kind is not TokenKind.LINE_COMMENT:
+        if tok.kind is not LINE_COMMENT:
             continue
         end = tok.start + 1 + len(tok.value)
         spans.append(
@@ -246,63 +266,46 @@ def extract_line_comments(source: str, tokens: list[Token]) -> list[CommentSpan]
     return spans
 
 
-class UnbalancedBraces(TexcorpusError):
-    """A macro argument's braces never close."""
-
-
-_SKIPPABLE = (TokenKind.WHITESPACE, TokenKind.LINE_COMMENT)
-
-
-def _next_significant(tokens: list[Token], idx: int) -> int:
-    """Index of the next token that is not whitespace or a line comment."""
-    while idx < len(tokens) and tokens[idx].kind in _SKIPPABLE:
-        idx += 1
-    return idx
-
-
-def _is_empty_body(tokens: list[Token], open_idx: int) -> tuple[bool, int]:
+def _is_empty_body(
+    tokens: list[Token], open_idx: int, closers: list[int]
+) -> tuple[bool, int]:
     """Whether the group starting at open_idx has no significant content.
 
     Returns (empty, index just past the closing brace). Nested groups make
-    the body non-empty.
+    the body non-empty. An unclosed group is non-empty and swallows the
+    rest of the stream, so the index is then the stream's length.
     """
-    depth = 1
-    idx = open_idx + 1
-    empty = True
-    while idx < len(tokens) and depth > 0:
-        kind = tokens[idx].kind
-        if kind is TokenKind.GROUP_OPEN:
-            depth += 1
-            empty = False
-        elif kind is TokenKind.GROUP_CLOSE:
-            depth -= 1
-        elif kind not in _SKIPPABLE:
-            empty = False
-        idx += 1
-    if depth > 0:
-        return False, idx
-    return empty, idx
+    close = closers[open_idx]
+    if close == -1:
+        return False, len(tokens)
+    empty = all(tokens[k].kind in _SKIPPABLE for k in range(open_idx + 1, close))
+    return empty, close + 1
 
 
-def detect_ignore_macros(tokens: list[Token]) -> set[str]:
+def detect_ignore_macros(
+    tokens: list[Token], *, closers: list[int] | None = None
+) -> set[str]:
     """Names of macros defined to swallow one argument and expand to nothing.
 
     Recognizes ``\\newcommand{\\x}[1]{}`` (brace-wrapped or bare control
     sequence, optional ``*``), ``\\renewcommand`` likewise, and
     ``\\def\\x#1{}``. A name bound by \\newcommand keeps its first
-    definition; \\renewcommand and \\def rebind.
+    definition; \\renewcommand and \\def rebind. ``closers`` is the
+    stream's ``group_closers`` table, computed here when omitted.
     """
+    if closers is None:
+        closers = group_closers(tokens)
     ignore: set[str] = set()
     defined: set[str] = set()
     i = 0
     n = len(tokens)
     while i < n:
         tok = tokens[i]
-        if tok.kind is not TokenKind.COMMAND:
+        if tok.kind is not COMMAND:
             i += 1
             continue
         if tok.value in ("newcommand", "renewcommand"):
-            name, empty, nxt = _parse_newcommand(tokens, i + 1)
+            name, empty, nxt = _parse_newcommand(tokens, i + 1, closers)
             if name is not None:
                 if tok.value == "newcommand":
                     if name not in defined:
@@ -318,7 +321,7 @@ def detect_ignore_macros(tokens: list[Token]) -> set[str]:
                 i = nxt
                 continue
         elif tok.value == "def":
-            name, empty, nxt = _parse_def(tokens, i + 1)
+            name, empty, nxt = _parse_def(tokens, i + 1, closers)
             if name is not None:
                 defined.add(name)
                 if empty:
@@ -332,7 +335,7 @@ def detect_ignore_macros(tokens: list[Token]) -> set[str]:
 
 
 def _parse_newcommand(
-    tokens: list[Token], idx: int
+    tokens: list[Token], idx: int, closers: list[int]
 ) -> tuple[str | None, bool, int]:
     """Parse the tail of \\newcommand/\\renewcommand.
 
@@ -341,22 +344,22 @@ def _parse_newcommand(
     """
     n = len(tokens)
     idx = _next_significant(tokens, idx)
-    if idx < n and tokens[idx].kind is TokenKind.OTHER and tokens[idx].value == "*":
+    if idx < n and tokens[idx].kind is OTHER and tokens[idx].value == "*":
         idx = _next_significant(tokens, idx + 1)
     if idx >= n:
         return None, False, idx
 
     # the \x being defined: either {\x} or bare \x
-    if tokens[idx].kind is TokenKind.GROUP_OPEN:
+    if tokens[idx].kind is GROUP_OPEN:
         inner = _next_significant(tokens, idx + 1)
-        if inner >= n or tokens[inner].kind is not TokenKind.COMMAND:
+        if inner >= n or tokens[inner].kind is not COMMAND:
             return None, False, idx
         name = tokens[inner].value
         close = _next_significant(tokens, inner + 1)
-        if close >= n or tokens[close].kind is not TokenKind.GROUP_CLOSE:
+        if close >= n or tokens[close].kind is not GROUP_CLOSE:
             return None, False, idx
         idx = close + 1
-    elif tokens[idx].kind is TokenKind.COMMAND:
+    elif tokens[idx].kind is COMMAND:
         name = tokens[idx].value
         idx += 1
     else:
@@ -364,49 +367,45 @@ def _parse_newcommand(
 
     # require exactly [1]: one mandatory argument, no optional default
     idx = _next_significant(tokens, idx)
-    if not (idx < n and tokens[idx].kind is TokenKind.OPT_OPEN):
+    if not (idx < n and tokens[idx].kind is OPT_OPEN):
         return None, False, idx
     arg = _next_significant(tokens, idx + 1)
-    if not (
-        arg < n and tokens[arg].kind is TokenKind.WORD and tokens[arg].value == "1"
-    ):
+    if not (arg < n and tokens[arg].kind is WORD and tokens[arg].value == "1"):
         return None, False, idx
     close = _next_significant(tokens, arg + 1)
-    if not (close < n and tokens[close].kind is TokenKind.OPT_CLOSE):
+    if not (close < n and tokens[close].kind is OPT_CLOSE):
         return None, False, idx
     idx = _next_significant(tokens, close + 1)
-    if idx < n and tokens[idx].kind is TokenKind.OPT_OPEN:
+    if idx < n and tokens[idx].kind is OPT_OPEN:
         # a default value makes the first argument optional; not a plain
         # one-argument swallower
         return None, False, idx
 
-    if not (idx < n and tokens[idx].kind is TokenKind.GROUP_OPEN):
+    if not (idx < n and tokens[idx].kind is GROUP_OPEN):
         return None, False, idx
-    empty, nxt = _is_empty_body(tokens, idx)
+    empty, nxt = _is_empty_body(tokens, idx, closers)
     return name, empty, nxt
 
 
-def _parse_def(tokens: list[Token], idx: int) -> tuple[str | None, bool, int]:
+def _parse_def(
+    tokens: list[Token], idx: int, closers: list[int]
+) -> tuple[str | None, bool, int]:
     """Parse the tail of \\def\\x#1{...}."""
     n = len(tokens)
     idx = _next_significant(tokens, idx)
-    if idx >= n or tokens[idx].kind is not TokenKind.COMMAND:
+    if idx >= n or tokens[idx].kind is not COMMAND:
         return None, False, idx
     name = tokens[idx].value
     idx = _next_significant(tokens, idx + 1)
-    if not (
-        idx < n and tokens[idx].kind is TokenKind.OTHER and tokens[idx].value == "#"
-    ):
+    if not (idx < n and tokens[idx].kind is OTHER and tokens[idx].value == "#"):
         return None, False, idx
     idx += 1
-    if not (
-        idx < n and tokens[idx].kind is TokenKind.WORD and tokens[idx].value == "1"
-    ):
+    if not (idx < n and tokens[idx].kind is WORD and tokens[idx].value == "1"):
         return None, False, idx
     idx = _next_significant(tokens, idx + 1)
-    if not (idx < n and tokens[idx].kind is TokenKind.GROUP_OPEN):
+    if not (idx < n and tokens[idx].kind is GROUP_OPEN):
         return None, False, idx
-    empty, nxt = _is_empty_body(tokens, idx)
+    empty, nxt = _is_empty_body(tokens, idx, closers)
     return name, empty, nxt
 
 
@@ -415,16 +414,21 @@ def extract_macro_comments(
     tokens: list[Token],
     ignore_macros: set[str] | None = None,
     diagnostics: list[Diagnostic] | None = None,
+    *,
+    closers: list[int] | None = None,
 ) -> list[CommentSpan]:
     """Arguments of no-op macros, as comment spans covering the invocation.
 
     ``ignore_macros`` defaults to whatever definitions the token stream
     itself contains. Invocations with unbalanced braces are skipped with a
     diagnostic. Invocations never nest in the result: scanning resumes after
-    each extracted argument.
+    each extracted argument. ``closers`` is the stream's ``group_closers``
+    table, computed here when omitted.
     """
+    if closers is None:
+        closers = group_closers(tokens)
     if ignore_macros is None:
-        ignore_macros = detect_ignore_macros(tokens)
+        ignore_macros = detect_ignore_macros(tokens, closers=closers)
     if not ignore_macros:
         return []
     spans: list[CommentSpan] = []
@@ -432,24 +436,15 @@ def extract_macro_comments(
     n = len(tokens)
     while i < n:
         tok = tokens[i]
-        if tok.kind is not TokenKind.COMMAND or tok.value not in ignore_macros:
+        if tok.kind is not COMMAND or tok.value not in ignore_macros:
             i += 1
             continue
         open_idx = _next_significant(tokens, i + 1)
-        if not (
-            open_idx < n and tokens[open_idx].kind is TokenKind.GROUP_OPEN
-        ):
+        if not (open_idx < n and tokens[open_idx].kind is GROUP_OPEN):
             i += 1
             continue
-        depth = 1
-        j = open_idx + 1
-        while j < n and depth > 0:
-            if tokens[j].kind is TokenKind.GROUP_OPEN:
-                depth += 1
-            elif tokens[j].kind is TokenKind.GROUP_CLOSE:
-                depth -= 1
-            j += 1
-        if depth > 0:
+        close = closers[open_idx]
+        if close == -1:
             if diagnostics is not None:
                 diagnostics.append(
                     Diagnostic(
@@ -460,7 +455,7 @@ def extract_macro_comments(
                 )
             i += 1
             continue
-        close_tok = tokens[j - 1]
+        close_tok = tokens[close]
         arg_text = source[tokens[open_idx].end : close_tok.start]
         spans.append(
             CommentSpan(
@@ -471,7 +466,7 @@ def extract_macro_comments(
                 macro=tok.value,
             )
         )
-        i = j
+        i = close + 1
     return spans
 
 

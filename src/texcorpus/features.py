@@ -23,12 +23,19 @@ from .comments import (
 )
 from .errors import Diagnostic
 from .lexer import (
+    COMMAND,
+    GROUP_OPEN,
+    OPT_OPEN,
+    OTHER,
+    WORD,
     NoMainFile,
     SourceDocument,
     Token,
     TokenKind,
+    _next_significant,
     alphabetic_words,
     detect_main_file,
+    group_closers,
     tokenize,
 )
 
@@ -64,20 +71,20 @@ def inline_sources(
     dropped with a diagnostic. References to files not in the document are
     kept verbatim, also with a diagnostic. \\input inside comments or
     verbatim text is never expanded, since it does not tokenize as a
-    command there.
+    command there. A file whose text does not contain ``\\input`` or
+    ``\\include`` is returned as it is, without tokenizing it.
     """
     visited: set[str] = set()
 
     def process(path: str) -> str:
         visited.add(path)
         source = texts[path]
+        if "\\input" not in source and "\\include" not in source:
+            return source
         parts: list[str] = []
         last = 0
         for tok in tokenize(source):
-            if tok.kind is not TokenKind.COMMAND or tok.value not in (
-                "input",
-                "include",
-            ):
+            if tok.kind is not COMMAND or tok.value not in ("input", "include"):
                 continue
             if tok.start < last:
                 continue
@@ -119,61 +126,27 @@ def inline_sources(
     return process(main)
 
 
-def _match_group(tokens: list[Token], open_idx: int) -> int | None:
-    """Token index of the GROUP_CLOSE matching the GROUP_OPEN at open_idx."""
-    depth = 1
-    i = open_idx + 1
-    while i < len(tokens):
-        kind = tokens[i].kind
-        if kind is TokenKind.GROUP_OPEN:
-            depth += 1
-        elif kind is TokenKind.GROUP_CLOSE:
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return None
-
-
-_SKIPPABLE = (TokenKind.WHITESPACE, TokenKind.LINE_COMMENT)
-
-
-def _next_significant(tokens: list[Token], idx: int) -> int:
-    while idx < len(tokens) and tokens[idx].kind in _SKIPPABLE:
-        idx += 1
-    return idx
-
-
 def _read_group(
-    source: str, tokens: list[Token], idx: int
+    source: str,
+    tokens: list[Token],
+    idx: int,
+    closers: list[int],
+    opener: TokenKind = GROUP_OPEN,
 ) -> tuple[str, int] | None:
-    """Read a {…} group starting at the next significant token.
+    """Read a {…} group, or a [...] one when ``opener`` is OPT_OPEN,
+    starting at the next significant token.
 
-    Returns (inner text, index just past the closing brace), or None when
-    no well-formed group is there.
+    Returns (inner text, index just past the closer), or None when no
+    well-formed group is there. ``closers`` is the stream's
+    ``group_closers`` table, so a [...] group ends at the first ``]``.
     """
     idx = _next_significant(tokens, idx)
-    if idx >= len(tokens) or tokens[idx].kind is not TokenKind.GROUP_OPEN:
+    if idx >= len(tokens) or tokens[idx].kind is not opener:
         return None
-    close = _match_group(tokens, idx)
-    if close is None:
+    close = closers[idx]
+    if close == -1:
         return None
     return source[tokens[idx].end : tokens[close].start], close + 1
-
-
-def _read_optional(
-    source: str, tokens: list[Token], idx: int
-) -> tuple[str, int] | None:
-    """Read a [...] group starting at the next significant token."""
-    idx = _next_significant(tokens, idx)
-    if idx >= len(tokens) or tokens[idx].kind is not TokenKind.OPT_OPEN:
-        return None
-    i = idx + 1
-    while i < len(tokens) and tokens[i].kind is not TokenKind.OPT_CLOSE:
-        i += 1
-    if i >= len(tokens):
-        return None
-    return source[tokens[idx].end : tokens[i].start], i + 1
 
 
 @dataclass(frozen=True)
@@ -185,30 +158,35 @@ class PackageUse:
     declared_at: int  # character offset of the declaring command
 
 
-def extract_packages(source: str, tokens: list[Token] | None = None) -> list[PackageUse]:
+def extract_packages(
+    source: str,
+    tokens: list[Token] | None = None,
+    *,
+    closers: list[int] | None = None,
+) -> list[PackageUse]:
     """All package declarations, in order, duplicates preserved.
 
     A single \\usepackage[opts]{a, b} yields one entry per package name,
-    each carrying the shared option list.
+    each carrying the shared option list. ``closers`` is the stream's
+    ``group_closers`` table, computed here when omitted.
     """
     if tokens is None:
         tokens = tokenize(source)
+    if closers is None:
+        closers = group_closers(tokens)
     uses: list[PackageUse] = []
     for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.COMMAND or tok.value not in (
-            "usepackage",
-            "RequirePackage",
-        ):
+        if tok.kind is not COMMAND or tok.value not in ("usepackage", "RequirePackage"):
             continue
         idx = i + 1
         options: tuple[str, ...] = ()
-        opt = _read_optional(source, tokens, idx)
+        opt = _read_group(source, tokens, idx, closers, OPT_OPEN)
         if opt is not None:
             raw_options, idx = opt
             options = tuple(
                 part.strip() for part in raw_options.split(",") if part.strip()
             )
-        group = _read_group(source, tokens, idx)
+        group = _read_group(source, tokens, idx, closers)
         if group is None:
             continue
         names, _ = group
@@ -244,7 +222,7 @@ def analyze_graphics(tokens: list[Token], packages: list[PackageUse]) -> Graphic
     includegraphics = 0
     epsfig_cmd = 0
     for tok in tokens:
-        if tok.kind is not TokenKind.COMMAND:
+        if tok.kind is not COMMAND:
             continue
         if tok.value == "includegraphics":
             includegraphics += 1
@@ -270,35 +248,36 @@ _THEOREM_TITLES = {"theorem", "lemma", "proposition", "corollary"}
 _BUILTIN_THEOREM_RE = re.compile(r"(theorem|lemma|proposition|corollary)\*?\Z", re.IGNORECASE)
 
 
-def extract_theorems(source: str, tokens: list[Token]) -> TheoremCounts:
+def extract_theorems(
+    source: str, tokens: list[Token], *, closers: list[int] | None = None
+) -> TheoremCounts:
     """Count \\begin{...} uses of theorem environments.
 
     \\newtheorem{env}{Title} binds env to the class of its title when the
     title is Theorem/Lemma/Proposition/Corollary; standard environment
     names count without a binding. theorem_count covers theorems proper,
-    theorem_like_count the other three classes.
+    theorem_like_count the other three classes. ``closers`` is the
+    stream's ``group_closers`` table, computed here when omitted.
     """
+    if closers is None:
+        closers = group_closers(tokens)
     bound: dict[str, str] = {}
     i = 0
     n = len(tokens)
     while i < n:
         tok = tokens[i]
-        if tok.kind is TokenKind.COMMAND and tok.value == "newtheorem":
+        if tok.kind is COMMAND and tok.value == "newtheorem":
             idx = i + 1
             nxt = _next_significant(tokens, idx)
-            if (
-                nxt < n
-                and tokens[nxt].kind is TokenKind.OTHER
-                and tokens[nxt].value == "*"
-            ):
+            if nxt < n and tokens[nxt].kind is OTHER and tokens[nxt].value == "*":
                 idx = nxt + 1
-            group = _read_group(source, tokens, idx)
+            group = _read_group(source, tokens, idx, closers)
             if group is not None:
                 env_name, idx = group
-                opt = _read_optional(source, tokens, idx)
+                opt = _read_group(source, tokens, idx, closers, OPT_OPEN)
                 if opt is not None:
                     _, idx = opt
-                title_group = _read_group(source, tokens, idx)
+                title_group = _read_group(source, tokens, idx, closers)
                 if title_group is not None:
                     title, idx = title_group
                     normalized = title.strip().lower()
@@ -313,8 +292,8 @@ def extract_theorems(source: str, tokens: list[Token]) -> TheoremCounts:
     i = 0
     while i < n:
         tok = tokens[i]
-        if tok.kind is TokenKind.COMMAND and tok.value == "begin":
-            group = _read_group(source, tokens, i + 1)
+        if tok.kind is COMMAND and tok.value == "begin":
+            group = _read_group(source, tokens, i + 1, closers)
             if group is not None:
                 env, nxt = group
                 env = env.strip()
@@ -333,13 +312,18 @@ def extract_theorems(source: str, tokens: list[Token]) -> TheoremCounts:
     return TheoremCounts(theorem_count=theorem, theorem_like_count=theorem_like)
 
 
-def count_figures(source: str, tokens: list[Token]) -> int:
-    """Number of figure/figure* environments."""
+def count_figures(
+    source: str, tokens: list[Token], *, closers: list[int] | None = None
+) -> int:
+    """Number of figure/figure* environments. ``closers`` is the stream's
+    ``group_closers`` table, computed here when omitted."""
+    if closers is None:
+        closers = group_closers(tokens)
     count = 0
     for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.COMMAND or tok.value != "begin":
+        if tok.kind is not COMMAND or tok.value != "begin":
             continue
-        group = _read_group(source, tokens, i + 1)
+        group = _read_group(source, tokens, i + 1, closers)
         if group is not None and group[0].strip() in ("figure", "figure*"):
             count += 1
     return count
@@ -350,7 +334,7 @@ def count_newcommands(tokens: list[Token]) -> int:
     return sum(
         1
         for tok in tokens
-        if tok.kind is TokenKind.COMMAND
+        if tok.kind is COMMAND
         and tok.value in ("newcommand", "renewcommand")
     )
 
@@ -366,87 +350,91 @@ class AuthorInfo:
 _AUTHOR_NOISE_MACROS = {"thanks", "affil", "affiliation"}
 
 
-def _segment_has_words(tokens: list[Token]) -> bool:
-    """Whether a name segment has visible words outside noise macros."""
-    i = 0
-    n = len(tokens)
-    while i < n:
+def _segment_has_words(
+    tokens: list[Token], start: int, stop: int, closers: list[int]
+) -> bool:
+    """Whether tokens[start:stop], one name segment, has visible words
+    outside noise macros. tokens[stop] must be significant: a separator or
+    the closing brace of the block."""
+    i = start
+    while i < stop:
         tok = tokens[i]
-        if tok.kind is TokenKind.COMMAND and tok.value in _AUTHOR_NOISE_MACROS:
+        if tok.kind is COMMAND and tok.value in _AUTHOR_NOISE_MACROS:
             idx = _next_significant(tokens, i + 1)
-            if idx < n and tokens[idx].kind is TokenKind.GROUP_OPEN:
-                close = _match_group(tokens, idx)
-                if close is not None:
+            if idx < stop and tokens[idx].kind is GROUP_OPEN:
+                close = closers[idx]
+                if close != -1:
                     i = close + 1
                     continue
             i += 1
             continue
-        if tok.kind is TokenKind.WORD and alphabetic_words(tok.value):
+        if tok.kind is WORD and alphabetic_words(tok.value):
             return True
-        if tok.kind is TokenKind.GROUP_OPEN or tok.kind is TokenKind.GROUP_CLOSE:
-            i += 1
-            continue
         i += 1
     return False
 
 
-def _count_block_authors(block: str) -> int:
-    """Authors inside one \\author{...} block: segments split on \\and or
-    \\\\ at brace depth zero, counting segments that carry a name."""
-    tokens = tokenize(block)
-    segments: list[list[Token]] = [[]]
-    depth = 0
-    for tok in tokens:
-        if tok.kind is TokenKind.GROUP_OPEN:
-            depth += 1
-        elif tok.kind is TokenKind.GROUP_CLOSE:
-            depth -= 1
-        if (
-            depth == 0
-            and tok.kind is TokenKind.COMMAND
-            and tok.value in ("and", "\\")
-        ):
-            segments.append([])
+def _count_block_authors(tokens: list[Token], open_idx: int, closers: list[int]) -> int:
+    """Authors inside the \\author{...} group opening at open_idx: segments
+    split on \\and or \\\\ at brace depth zero, counting segments that
+    carry a name. The group is closed, so every group inside it is too."""
+    close = closers[open_idx]
+    count = 0
+    start = i = open_idx + 1
+    while i < close:
+        tok = tokens[i]
+        if tok.kind is GROUP_OPEN:
+            i = closers[i] + 1
             continue
-        segments[-1].append(tok)
-    return sum(1 for seg in segments if _segment_has_words(seg))
+        if tok.kind is COMMAND and tok.value in ("and", "\\"):
+            count += _segment_has_words(tokens, start, i, closers)
+            start = i + 1
+        i += 1
+    return count + _segment_has_words(tokens, start, close, closers)
 
 
-def extract_authors(source: str, tokens: list[Token]) -> AuthorInfo:
+def extract_authors(
+    source: str, tokens: list[Token], *, closers: list[int] | None = None
+) -> AuthorInfo:
     """Count authors from \\author declarations.
 
     Several \\author blocks before \\maketitle mean one author per block
     (the affiliation-package convention). A single block is split on \\and
-    and on line breaks.
+    and on line breaks. ``closers`` is the stream's ``group_closers``
+    table, computed here when omitted.
     """
+    if closers is None:
+        closers = group_closers(tokens)
     maketitle_at: int | None = None
     for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.COMMAND and tok.value == "maketitle":
+        if tok.kind is COMMAND and tok.value == "maketitle":
             maketitle_at = i
             break
 
-    blocks: list[str] = []
+    blocks: list[int] = []  # token index of each block's opening brace
     for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.COMMAND or tok.value != "author":
+        if tok.kind is not COMMAND or tok.value != "author":
             continue
         if maketitle_at is not None and i > maketitle_at:
             break
         idx = i + 1
-        opt = _read_optional(source, tokens, idx)
+        opt = _read_group(source, tokens, idx, closers, OPT_OPEN)
         if opt is not None:
             _, idx = opt
-        group = _read_group(source, tokens, idx)
+        idx = _next_significant(tokens, idx)
+        group = _read_group(source, tokens, idx, closers)
         if group is None:
             continue
-        content, _ = group
-        if content.strip():
-            blocks.append(content)
+        if group[0].strip():
+            blocks.append(idx)
 
     if not blocks:
         return AuthorInfo(count=0, block_found=False)
     if len(blocks) > 1:
         return AuthorInfo(count=len(blocks), block_found=True)
-    return AuthorInfo(count=_count_block_authors(blocks[0]), block_found=True)
+    return AuthorInfo(
+        count=_count_block_authors(tokens, blocks[0], closers), block_found=True
+    )
 
 
 def _to_char_ranges(spans: list[CommentSpan]) -> list[tuple[int, int]]:
@@ -468,7 +456,7 @@ def collect_words(
     words: list[str] = []
     ri = 0
     for tok in tokens:
-        if tok.kind not in (TokenKind.COMMAND, TokenKind.WORD):
+        if tok.kind not in (COMMAND, WORD):
             continue
         while ri < len(ranges) and ranges[ri][1] <= tok.start:
             ri += 1
@@ -553,20 +541,23 @@ def extract_document(
 
     source = inline_sources(texts, main, diagnostics)
     tokens = tokenize(source)
+    closers = group_closers(tokens)
 
     line_spans = extract_line_comments(source, tokens)
     if ignore_macros is None:
-        ignore_macros = detect_ignore_macros(tokens)
-    macro_spans = extract_macro_comments(source, tokens, ignore_macros, diagnostics)
+        ignore_macros = detect_ignore_macros(tokens, closers=closers)
+    macro_spans = extract_macro_comments(
+        source, tokens, ignore_macros, diagnostics, closers=closers
+    )
     comments = sorted(line_spans + macro_spans, key=lambda s: (s.start, s.end))
 
     text_words = collect_words(tokens, _to_char_ranges(macro_spans))
     c_words = comment_words(comments)
 
-    packages = extract_packages(source, tokens)
+    packages = extract_packages(source, tokens, closers=closers)
     graphics = analyze_graphics(tokens, packages)
-    theorems = extract_theorems(source, tokens)
-    authors = extract_authors(source, tokens)
+    theorems = extract_theorems(source, tokens, closers=closers)
+    authors = extract_authors(source, tokens, closers=closers)
     distinct_packages = tuple(sorted({p.name for p in packages}))
 
     features = FeatureVector(
@@ -582,7 +573,7 @@ def extract_document(
         newcommand_count=count_newcommands(tokens),
         theorem_count=theorems.theorem_count,
         theorem_like_count=theorems.theorem_like_count,
-        figure_count=count_figures(source, tokens),
+        figure_count=count_figures(source, tokens, closers=closers),
         includegraphics_count=graphics.includegraphics_count,
         epsfig_command_count=graphics.epsfig_command_count,
         graphicx_declared=graphics.graphicx_declared,

@@ -53,7 +53,21 @@ class TokenKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+# The members as module constants for per-token loops: on Python 3.11 a
+# ``TokenKind.X`` lookup runs EnumType.__getattr__ and costs about 0.2 us.
+COMMAND = TokenKind.COMMAND
+LINE_COMMENT = TokenKind.LINE_COMMENT
+WORD = TokenKind.WORD
+GROUP_OPEN = TokenKind.GROUP_OPEN
+GROUP_CLOSE = TokenKind.GROUP_CLOSE
+OPT_OPEN = TokenKind.OPT_OPEN
+OPT_CLOSE = TokenKind.OPT_CLOSE
+MATH_SHIFT = TokenKind.MATH_SHIFT
+WHITESPACE = TokenKind.WHITESPACE
+OTHER = TokenKind.OTHER
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     """One lexical unit.
 
@@ -62,6 +76,10 @@ class Token:
     text for word/whitespace/other tokens. ``start``/``end`` delimit the
     token's span in the source (0-based, half-open); spans of consecutive
     tokens tile the source with no gaps or overlaps.
+
+    Slotted and not frozen: a document holds one Token per lexical unit, and
+    a frozen ``__init__`` costs over three times as much. Tokens compare and
+    hash by value, so treat them as immutable.
     """
 
     kind: TokenKind
@@ -73,14 +91,15 @@ class Token:
 VERBATIM_ENVIRONMENTS = ("verbatim", "verbatim*", "lstlisting")
 
 _WS_RE = re.compile(r"\s+")
+_PLAIN_RUN_RE = re.compile(r"(\s+)|\S+")
 _ALNUM_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 _SINGLE_CHAR_KINDS = {
-    "{": TokenKind.GROUP_OPEN,
-    "}": TokenKind.GROUP_CLOSE,
-    "[": TokenKind.OPT_OPEN,
-    "]": TokenKind.OPT_CLOSE,
-    "$": TokenKind.MATH_SHIFT,
+    "{": GROUP_OPEN,
+    "}": GROUP_CLOSE,
+    "[": OPT_OPEN,
+    "]": OPT_CLOSE,
+    "$": MATH_SHIFT,
 }
 
 
@@ -93,20 +112,13 @@ _DEFAULT_BEGIN_RE = _begin_verbatim_re(VERBATIM_ENVIRONMENTS)
 
 
 def _emit_plain_runs(text: str, start: int, end: int, out: list[Token]) -> None:
-    """Tokenize a verbatim region as alternating word/whitespace runs."""
-    i = start
-    while i < end:
-        if text[i].isspace():
-            j = i + 1
-            while j < end and text[j].isspace():
-                j += 1
-            out.append(Token(TokenKind.WHITESPACE, text[i:j], i, j))
-        else:
-            j = i + 1
-            while j < end and not text[j].isspace():
-                j += 1
-            out.append(Token(TokenKind.WORD, text[i:j], i, j))
-        i = j
+    """Tokenize a verbatim region as alternating word/whitespace runs.
+
+    ``\\s`` matches exactly the characters for which ``str.isspace`` is true.
+    """
+    for m in _PLAIN_RUN_RE.finditer(text, start, end):
+        kind = WHITESPACE if m.lastindex == 1 else WORD
+        out.append(Token(kind, m.group(), m.start(), m.end()))
 
 
 def tokenize(
@@ -151,7 +163,7 @@ def tokenize(
                 while j < n and text[j] in ascii_letters:
                     j += 1
                 name = text[i + 1 : j]
-                tokens.append(Token(TokenKind.COMMAND, name, i, j))
+                tokens.append(Token(COMMAND, name, i, j))
                 i = j
                 if name == "verb":
                     i = _lex_verb(text, i, tokens)
@@ -160,40 +172,38 @@ def tokenize(
                     if m:
                         pending_verbatim = (m.end(), m.group(1))
             elif i + 1 < n:
-                tokens.append(Token(TokenKind.COMMAND, text[i + 1], i, i + 2))
+                tokens.append(Token(COMMAND, text[i + 1], i, i + 2))
                 i += 2
             else:
                 # lone trailing backslash: not a valid command name
-                tokens.append(Token(TokenKind.OTHER, "\\", i, n))
+                tokens.append(Token(OTHER, "\\", i, n))
                 i = n
         elif c == "%":
             stop = text.find("\n", i)
             if stop == -1:
-                tokens.append(Token(TokenKind.LINE_COMMENT, text[i + 1 :], i, n))
+                tokens.append(Token(LINE_COMMENT, text[i + 1 :], i, n))
                 i = n
             else:
-                tokens.append(
-                    Token(TokenKind.LINE_COMMENT, text[i + 1 : stop], i, stop + 1)
-                )
+                tokens.append(Token(LINE_COMMENT, text[i + 1 : stop], i, stop + 1))
                 i = stop + 1
         elif c in _SINGLE_CHAR_KINDS:
             tokens.append(Token(_SINGLE_CHAR_KINDS[c], c, i, i + 1))
             i += 1
         elif c.isspace():
             m = _WS_RE.match(text, i)
-            tokens.append(Token(TokenKind.WHITESPACE, m.group(0), i, m.end()))
+            tokens.append(Token(WHITESPACE, m.group(0), i, m.end()))
             i = m.end()
         elif c.isalnum():
             m = _ALNUM_RE.match(text, i)
             if m:
-                tokens.append(Token(TokenKind.WORD, m.group(0), i, m.end()))
+                tokens.append(Token(WORD, m.group(0), i, m.end()))
                 i = m.end()
             else:
                 # isalnum but not \w-matched (rare unicode edge): keep as OTHER
-                tokens.append(Token(TokenKind.OTHER, c, i, i + 1))
+                tokens.append(Token(OTHER, c, i, i + 1))
                 i += 1
         else:
-            tokens.append(Token(TokenKind.OTHER, c, i, i + 1))
+            tokens.append(Token(OTHER, c, i, i + 1))
             i += 1
 
     return tokens
@@ -203,23 +213,61 @@ def _lex_verb(text: str, i: int, tokens: list[Token]) -> int:
     """Lex the tail of a \\verb command starting right after its name."""
     n = len(text)
     if i < n and text[i] == "*":
-        tokens.append(Token(TokenKind.OTHER, "*", i, i + 1))
+        tokens.append(Token(OTHER, "*", i, i + 1))
         i += 1
     if i >= n:
         return i
     delim = text[i]
     if delim == "\n":
         return i
-    tokens.append(Token(TokenKind.OTHER, delim, i, i + 1))
+    tokens.append(Token(OTHER, delim, i, i + 1))
     i += 1
     j = i
     while j < n and text[j] != delim and text[j] != "\n":
         j += 1
     _emit_plain_runs(text, i, j, tokens)
     if j < n and text[j] == delim:
-        tokens.append(Token(TokenKind.OTHER, delim, j, j + 1))
+        tokens.append(Token(OTHER, delim, j, j + 1))
         j += 1
     return j
+
+
+def group_closers(tokens: list[Token]) -> list[int]:
+    """The brace table of a token stream, built in one pass.
+
+    Entry i is the index of the GROUP_CLOSE matching a GROUP_OPEN at i, or
+    of the first OPT_CLOSE after an OPT_OPEN at i (options do not nest).
+    It is -1 for an opener that never closes and for every other token.
+    Stray closers match nothing. Extractors read group extents from this
+    table, so none of them rescans past a closer or to the end of input.
+    """
+    closers = [-1] * len(tokens)
+    open_groups: list[int] = []
+    open_options: list[int] = []
+    for i, tok in enumerate(tokens):
+        kind = tok.kind
+        if kind is GROUP_OPEN:
+            open_groups.append(i)
+        elif kind is GROUP_CLOSE:
+            if open_groups:
+                closers[open_groups.pop()] = i
+        elif kind is OPT_OPEN:
+            open_options.append(i)
+        elif kind is OPT_CLOSE:
+            for j in open_options:
+                closers[j] = i
+            open_options.clear()
+    return closers
+
+
+_SKIPPABLE = (WHITESPACE, LINE_COMMENT)
+
+
+def _next_significant(tokens: list[Token], idx: int) -> int:
+    """Index of the next token that is not whitespace or a line comment."""
+    while idx < len(tokens) and tokens[idx].kind in _SKIPPABLE:
+        idx += 1
+    return idx
 
 
 class NoMainFile(TexcorpusError):

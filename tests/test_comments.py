@@ -56,6 +56,20 @@ class TestReferenceOracle:
         assert oracle.equivalent("a\t\nb", "a b")
         assert not oracle.equivalent("ab", "a b")
 
+    def test_reused_oracle_normalizes_each_first_string(self):
+        oracle = reference_oracle()
+        assert oracle.equivalent("a%x\nb", "a\nb")
+        assert not oracle.equivalent("ab", "a\nb")
+        assert oracle.equivalent("a%x\nb", "a b")
+        assert oracle.calls == 3
+
+    def test_one_oracle_partitions_two_strings(self):
+        shared = reference_oracle()
+        for s in ("%x\n%y", "a%b\ncd"):
+            fresh = partition_maximal_comments(s, reference_oracle())
+            assert partition_maximal_comments(s, shared) == fresh
+        assert shared.calls == 15 + 21
+
     def test_call_counting(self):
         oracle = reference_oracle()
         oracle.equivalent("a", "a")

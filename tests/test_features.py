@@ -1,8 +1,11 @@
 """Structure extraction: inlining, packages, graphics, theorems, authors,
 word counting and the assembled feature vector."""
 
+import time
+
 import pytest
 
+from texcorpus import features
 from texcorpus.errors import Diagnostic
 from texcorpus.features import (
     analyze_graphics,
@@ -15,7 +18,7 @@ from texcorpus.features import (
     extract_theorems,
     inline_sources,
 )
-from texcorpus.lexer import NoMainFile, SourceDocument, tokenize
+from texcorpus.lexer import NoMainFile, SourceDocument, group_closers, tokenize
 
 
 class TestInlining:
@@ -32,6 +35,11 @@ class TestInlining:
             "part.tex": "P",
         }
         assert inline_sources(texts, "main.tex") == "P"
+
+    def test_file_without_input_is_not_tokenized(self, monkeypatch):
+        monkeypatch.setattr(features, "tokenize", lambda source: pytest.fail(source))
+        texts = {"main.tex": "plain % no inclusion here\n"}
+        assert inline_sources(texts, "main.tex") == texts["main.tex"]
 
     def test_nested_inputs(self):
         texts = {
@@ -378,3 +386,49 @@ class TestExtractDocument:
         fv = extract_document(doc).features
         assert fv.package_count == 2
         assert fv.package_names == ("a", "b")
+
+
+class TestBraceTable:
+    SOURCE = (
+        "\\usepackage[a]{b}\\newtheorem{thm}{Theorem}\\begin{thm}\\begin{figure}"
+        "\\author{Ann\\thanks{x} \\and Bob}\\usepackage[open{c}\\begin{"
+    )
+
+    @pytest.mark.parametrize(
+        "extract", [extract_packages, extract_theorems, count_figures, extract_authors]
+    )
+    def test_given_table_gives_same_result(self, extract):
+        tokens = tokenize(self.SOURCE)
+        given = extract(self.SOURCE, tokens, closers=group_closers(tokens))
+        assert given == extract(self.SOURCE, tokens)
+
+
+class TestLinearTime:
+    """An unclosed group must not make extraction rescan to the end of input."""
+
+    SHAPES = {
+        "no-op macro": ("\\newcommand{\\hide}[1]{}\n", "\\hide{ x\n"),
+        "begin": ("", "\\begin{ x\n"),
+        "newtheorem": ("", "\\newtheorem{ x\n"),
+        "usepackage options": ("", "\\usepackage[ x\n"),
+    }
+
+    @staticmethod
+    def best_time(source):
+        doc = SourceDocument(id="t/scale", files=[("main.tex", source.encode())])
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            extract_document(doc)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_four_times_the_input_takes_at_most_eight_times_as_long(self, shape):
+        # linear code measures about 4x; one rescan per opener, about 15x
+        head, unclosed = self.SHAPES[shape]
+        small, large = (
+            self.best_time("\\documentclass{article}\n" + head + unclosed * repeats)
+            for repeats in (500, 2000)
+        )
+        assert large / small <= 8, f"{shape}: {large / small:.1f}x"

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from texcorpus.lexer import (
     NoMainFile,
     SourceDocument,
+    Token,
     TokenKind,
     alphabetic_words,
     decode_source,
     detect_main_file,
+    group_closers,
     tokenize,
 )
 
@@ -158,6 +160,76 @@ class TestVerbatim:
         assert TokenKind.LINE_COMMENT in kinds(tokenize(source))
         opaque = tokenize(source, verbatim_environments=("code",))
         assert TokenKind.LINE_COMMENT not in kinds(opaque)
+
+    @given(st.text(alphabet="ab%{ \t\n\x1c\xa0\u2003", max_size=40))
+    @settings(max_examples=200)
+    def test_verbatim_body_is_alternating_runs(self, body):
+        # unicode whitespace too: runs split exactly where str.isspace does
+        tokens = tokenize("\\begin{verbatim}" + body)[4:]
+        assert "".join(t.value for t in tokens) == body
+        for tok in tokens:
+            assert tok.kind in (TokenKind.WORD, TokenKind.WHITESPACE)
+            space = tok.kind is TokenKind.WHITESPACE
+            assert all(c.isspace() == space for c in tok.value)
+        assert all(a.kind is not b.kind for a, b in zip(tokens, tokens[1:]))
+
+
+def rescan_closers(tokens):
+    """The brace table as found by rescanning from every opener."""
+    closers = []
+    for i, tok in enumerate(tokens):
+        close = -1
+        if tok.kind is TokenKind.GROUP_OPEN:
+            depth = 0
+            for j in range(i, len(tokens)):
+                if tokens[j].kind is TokenKind.GROUP_OPEN:
+                    depth += 1
+                elif tokens[j].kind is TokenKind.GROUP_CLOSE:
+                    depth -= 1
+                    if depth == 0:
+                        close = j
+                        break
+        elif tok.kind is TokenKind.OPT_OPEN:
+            for j in range(i + 1, len(tokens)):
+                if tokens[j].kind is TokenKind.OPT_CLOSE:
+                    close = j
+                    break
+        closers.append(close)
+    return closers
+
+
+BRACKETED = st.lists(
+    st.sampled_from(["{", "}", "[", "]", " ", "\n", "word", "x"]), max_size=60
+).map("".join)
+
+
+class TestGroupClosers:
+    def test_nested_stray_and_unclosed(self):
+        tokens = tokenize("}{a{b}[c[d]]{")
+        # index:  0  1  2  3  4  5  6  7  8  9 10 11 12
+        # token:  }  {  a  {  b  }  [  c  [  d  ]  ]  {
+        expected = [-1, -1, -1, 5, -1, -1, 10, -1, 10, -1, -1, -1, -1]
+        assert group_closers(tokens) == expected
+
+    @given(BRACKETED)
+    @settings(max_examples=500)
+    def test_matches_rescan(self, source):
+        tokens = tokenize(source)
+        assert group_closers(tokens) == rescan_closers(tokens)
+
+
+class TestToken:
+    def test_value_semantics(self):
+        tok = Token(TokenKind.WORD, "x", 0, 1)
+        assert tok == Token(TokenKind.WORD, "x", 0, 1)
+        assert tok != Token(TokenKind.WORD, "x", 0, 2)
+        assert hash(tok) == hash((TokenKind.WORD, "x", 0, 1))
+        assert repr(tok) == (
+            "Token(kind=<TokenKind.WORD: 'word'>, value='x', start=0, end=1)"
+        )
+
+    def test_slotted(self):
+        assert not hasattr(Token(TokenKind.WORD, "x", 0, 1), "__dict__")
 
 
 class TestWordsAndDecode:
