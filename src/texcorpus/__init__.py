@@ -21,7 +21,6 @@ from .comments import (
     CommentSpan,
     CompilationOracle,
     NormalizingOracle,
-    comment_stats,
     detect_ignore_macros,
     extract_line_comments,
     extract_macro_comments,
@@ -95,7 +94,6 @@ __all__ = [
     "alphabetic_words",
     "build_table",
     "classify_payload",
-    "comment_stats",
     "detect_ignore_macros",
     "detect_main_file",
     "discriminative",

@@ -44,19 +44,7 @@ class ShapeMismatch(TexcorpusError):
 
 def features_matrix(features: Sequence[FeatureVector]) -> np.ndarray:
     """Feature vectors as a float matrix with FEATURE_NAMES columns."""
-    rows = [
-        (
-            float(fv.multi_file),
-            float(fv.comment_word_count),
-            float(fv.word_count),
-            float(fv.package_count),
-            float(fv.newcommand_count),
-            float(fv.theorem_count),
-            float(fv.figure_count),
-            float(fv.author_count),
-        )
-        for fv in features
-    ]
+    rows = [[float(getattr(fv, name)) for name in FEATURE_NAMES] for fv in features]
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
 
 

@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -25,6 +25,7 @@ from . import harvest as harvest_mod
 from .errors import Diagnostic, TexcorpusError
 from .features import FeatureVector, extract_document
 from .stats import (
+    CorpusSummary,
     DegenerateX,
     FilterSpec,
     build_table,
@@ -100,56 +101,56 @@ def read_ndjson(path: str | Path, schema_name: str) -> list[dict]:
         return records
 
 
+def _same(value):
+    return value
+
+
+# One row per key of a feature record, in output order: (wire name,
+# FeatureVector attribute, encode, decode). A row whose decode is None is
+# derived from its attribute on writing and ignored on reading.
+FEATURE_WIRE = (
+    ("id", "doc_id", _same, _same),
+    ("category", "category", _same, _same),
+    (
+        "timestamp",
+        "timestamp",
+        lambda stamp: stamp.isoformat() if stamp else None,
+        lambda text: date.fromisoformat(text) if text else None,
+    ),
+    ("multi_file", "multi_file", _same, bool),
+    ("words", "word_count", _same, int),
+    ("comment_words", "comment_word_count", _same, int),
+    ("pages", "page_count", _same, _same),
+    ("packages", "package_count", _same, int),
+    ("package_names", "package_names", list, tuple),
+    ("newcommands", "newcommand_count", _same, int),
+    ("theorems", "theorem_count", _same, int),
+    ("theorem_like", "theorem_like_count", _same, int),
+    ("figures", "figure_count", _same, int),
+    ("includegraphics", "includegraphics_count", _same, int),
+    ("epsfig_commands", "epsfig_command_count", _same, int),
+    ("authors", "author_count", _same, int),
+    ("author_block_found", "author_block_found", _same, bool),
+    ("graphicx_declared", "graphicx_declared", _same, bool),
+    ("graphicx_used", "includegraphics_count", lambda count: count > 0, None),
+    ("epsfig_declared", "epsfig_declared", _same, bool),
+    ("epsfig_used", "epsfig_command_count", lambda count: count > 0, None),
+)
+
+
 def feature_record(fv: FeatureVector) -> dict:
     """A feature vector as an ordered plain record."""
-    return {
-        "id": fv.doc_id,
-        "category": fv.category,
-        "timestamp": fv.timestamp.isoformat() if fv.timestamp else None,
-        "multi_file": fv.multi_file,
-        "words": fv.word_count,
-        "comment_words": fv.comment_word_count,
-        "pages": fv.page_count,
-        "packages": fv.package_count,
-        "package_names": list(fv.package_names),
-        "newcommands": fv.newcommand_count,
-        "theorems": fv.theorem_count,
-        "theorem_like": fv.theorem_like_count,
-        "figures": fv.figure_count,
-        "includegraphics": fv.includegraphics_count,
-        "epsfig_commands": fv.epsfig_command_count,
-        "authors": fv.author_count,
-        "author_block_found": fv.author_block_found,
-        "graphicx_declared": fv.graphicx_declared,
-        "graphicx_used": fv.includegraphics_count > 0,
-        "epsfig_declared": fv.epsfig_declared,
-        "epsfig_used": fv.epsfig_command_count > 0,
-    }
+    return {wire: encode(getattr(fv, attr)) for wire, attr, encode, _ in FEATURE_WIRE}
 
 
 def parse_feature_record(record: dict) -> FeatureVector:
     try:
-        timestamp = record["timestamp"]
         return FeatureVector(
-            doc_id=record["id"],
-            category=record["category"],
-            timestamp=date.fromisoformat(timestamp) if timestamp else None,
-            multi_file=bool(record["multi_file"]),
-            word_count=int(record["words"]),
-            comment_word_count=int(record["comment_words"]),
-            page_count=record["pages"],
-            package_count=int(record["packages"]),
-            package_names=tuple(record["package_names"]),
-            newcommand_count=int(record["newcommands"]),
-            theorem_count=int(record["theorems"]),
-            theorem_like_count=int(record["theorem_like"]),
-            figure_count=int(record["figures"]),
-            includegraphics_count=int(record["includegraphics"]),
-            epsfig_command_count=int(record["epsfig_commands"]),
-            graphicx_declared=bool(record["graphicx_declared"]),
-            epsfig_declared=bool(record["epsfig_declared"]),
-            author_count=int(record["authors"]),
-            author_block_found=bool(record["author_block_found"]),
+            **{
+                attr: decode(record[wire])
+                for wire, attr, _, decode in FEATURE_WIRE
+                if decode is not None
+            }
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad feature record for {record.get('id')!r}: {exc}")
@@ -245,25 +246,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- stats
 
-_SUMMARY_SCALARS = (
-    "category",
-    "paper_count",
-    "fraction_multi_file",
-    "fraction_no_comments",
-    "mean_comment_words",
-    "mean_words",
-    "fraction_with_packages",
-    "mean_packages_when_present",
-    "fraction_with_newcommands",
-    "mean_newcommands_when_present",
-    "fraction_with_theorems",
-    "mean_theorems_when_present",
-    "mean_figures",
-    "mean_authors",
-    "mean_pages",
-    "modal_pages",
-    "fraction_graphicx_unused",
-    "fraction_epsfig_unused",
+_SUMMARY_SCALARS = tuple(
+    f.name for f in fields(CorpusSummary) if not f.name.endswith("_histogram")
 )
 
 
@@ -279,20 +263,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
             writer = csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n")
             writer.writerow(_SUMMARY_SCALARS)
             for category in sorted(summaries):
-                record = asdict(summaries[category])
-                writer.writerow(
-                    "" if record[name] is None else record[name]
-                    for name in _SUMMARY_SCALARS
-                )
+                values = (getattr(summaries[category], n) for n in _SUMMARY_SCALARS)
+                writer.writerow("" if value is None else value for value in values)
         return 0
 
     with NdjsonWriter(args.out, STATS_SCHEMA) as out:
         for category in sorted(summaries):
             summary = summaries[category]
             record = {"record": "summary"}
-            full = asdict(summary)
             for name in _SUMMARY_SCALARS:
-                record[name] = full[name]
+                record[name] = getattr(summary, name)
             record["page_histogram"] = {
                 str(k): v for k, v in summary.page_histogram.items()
             }

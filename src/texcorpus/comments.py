@@ -95,30 +95,18 @@ class NormalizingOracle(CompilationOracle):
         return cached[1] == self._normalize(second)
 
 
+# An escape pair, a run of ordinary text or a lone trailing backslash is
+# kept; a comment (% up to, not including, the newline) matches no group.
+_KEEP_RE = re.compile(r"(\\.|[^\\%]+|\\)|%[^\n]*", re.S)
+
+
 def strip_line_comments(text: str) -> str:
     """Remove %-to-end-of-line comments, honoring backslash escapes.
 
     The newline terminating a comment is kept, since TeX treats it as the
     line break of the (now shorter) line.
     """
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\\" and i + 1 < n:
-            out.append(text[i : i + 2])
-            i += 2
-        elif c == "%":
-            stop = text.find("\n", i)
-            if stop == -1:
-                i = n
-            else:
-                i = stop
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return "".join(_KEEP_RE.findall(text))
 
 
 _WS_RUN_RE = re.compile(r"\s+")
@@ -226,27 +214,6 @@ def semantic_comments(
         CommentSpan(kind="semantic", start=i, end=j, text=s[i - 1 : j])
         for i, j in spans
     ]
-
-
-def monotonicity_violations(
-    s: str, oracle: CompilationOracle
-) -> list[tuple[int, int]]:
-    """Sub-spans of comments that are not themselves comments.
-
-    Useful for probing an oracle: for well-behaved normalizers every
-    substring of a comment deletes cleanly too, but nothing guarantees it.
-    """
-    n = len(s)
-    bad: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if not is_comment(s, i, j, oracle):
-                continue
-            for i2 in range(i, j + 1):
-                for j2 in range(i2, j + 1):
-                    if not is_comment(s, i2, j2, oracle):
-                        bad.append((i2, j2))
-    return bad
 
 
 def extract_line_comments(source: str, tokens: list[Token]) -> list[CommentSpan]:
@@ -470,29 +437,8 @@ def extract_macro_comments(
     return spans
 
 
-@dataclass(frozen=True)
-class CommentStats:
-    """Word-level accounting for one document's comments."""
-
-    word_count: int
-    word_fraction_of_paper: float
-    distinct_words: int
-
-
 def comment_words(spans: list[CommentSpan]) -> list[str]:
     words: list[str] = []
     for span in spans:
         words.extend(alphabetic_words(span.text))
     return words
-
-
-def comment_stats(spans: list[CommentSpan], text_word_count: int) -> CommentStats:
-    """Aggregate comment words against the document's visible word count."""
-    words = comment_words(spans)
-    total = len(words) + text_word_count
-    fraction = len(words) / total if total else 0.0
-    return CommentStats(
-        word_count=len(words),
-        word_fraction_of_paper=fraction,
-        distinct_words=len(set(words)),
-    )

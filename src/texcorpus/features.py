@@ -208,14 +208,6 @@ class GraphicsUse:
     includegraphics_count: int
     epsfig_command_count: int
 
-    @property
-    def graphicx_unused(self) -> bool:
-        return self.graphicx_declared and self.includegraphics_count == 0
-
-    @property
-    def epsfig_unused(self) -> bool:
-        return self.epsfig_declared and self.epsfig_command_count == 0
-
 
 def analyze_graphics(tokens: list[Token], packages: list[PackageUse]) -> GraphicsUse:
     declared = {p.name for p in packages}
@@ -589,8 +581,3 @@ def extract_document(
         diagnostics=diagnostics,
     )
 
-
-def build_feature_vector(
-    doc: SourceDocument, ignore_macros: set[str] | None = None
-) -> FeatureVector:
-    return extract_document(doc, ignore_macros).features

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import requests
 
@@ -638,21 +638,6 @@ class CorpusStore:
             if (directory / "meta.json").is_file():
                 out.append(directory.name)
         return out
-
-    def documents(
-        self, diagnostics: list[Diagnostic] | None = None
-    ) -> Iterator[SourceDocument]:
-        """All stored documents in stable order, skipping corrupt entries."""
-        for directory in sorted(self.root.iterdir()):
-            if directory.name.endswith(".quarantined"):
-                continue
-            if not directory.is_dir() or not (directory / "meta.json").is_file():
-                continue
-            try:
-                yield self._load_dir(directory)
-            except CorruptMeta as exc:
-                if diagnostics is not None:
-                    diagnostics.append(Diagnostic("store", str(exc)))
 
     def quarantine(self, doc_id: str) -> Path:
         """Move a document aside so iteration no longer sees it."""

@@ -1,6 +1,6 @@
 """Corpus-level statistics: word and package frequency tables, discriminative
-scoring between corpora, per-category summaries, date histograms and simple
-least-squares trend fits.
+scoring between corpora, per-category summaries and simple least-squares
+trend fits.
 
 Summaries are built through mergeable accumulators holding integer sums, so
 splitting a corpus into chunks, accumulating each and merging gives results
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Iterable
 
@@ -175,7 +175,7 @@ class CategoryAccumulator:
     epsfig_declared: int = 0
     epsfig_unused: int = 0
     page_histogram: Counter = field(default_factory=Counter)
-    monthly: list[int] = field(default_factory=lambda: [0] * 12)
+    monthly: Counter = field(default_factory=Counter)  # month index 0-11
     yearly: Counter = field(default_factory=Counter)
 
     def add(self, fv: FeatureVector) -> None:
@@ -209,29 +209,9 @@ class CategoryAccumulator:
             raise ValueError(
                 f"cannot merge {other.category!r} into {self.category!r}"
             )
-        self.papers += other.papers
-        self.multi_file += other.multi_file
-        self.no_comments += other.no_comments
-        self.comment_words += other.comment_words
-        self.words += other.words
-        self.with_packages += other.with_packages
-        self.packages += other.packages
-        self.with_newcommands += other.with_newcommands
-        self.newcommands += other.newcommands
-        self.with_theorems += other.with_theorems
-        self.theorems += other.theorems
-        self.figures += other.figures
-        self.authors += other.authors
-        self.with_pages += other.with_pages
-        self.pages += other.pages
-        self.graphicx_declared += other.graphicx_declared
-        self.graphicx_unused += other.graphicx_unused
-        self.epsfig_declared += other.epsfig_declared
-        self.epsfig_unused += other.epsfig_unused
-        self.page_histogram += other.page_histogram
-        for month in range(12):
-            self.monthly[month] += other.monthly[month]
-        self.yearly += other.yearly
+        for f in fields(self):
+            if f.name != "category":
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def summary(self) -> "CorpusSummary":
         if self.papers == 0:
@@ -272,7 +252,7 @@ class CategoryAccumulator:
             ),
             fraction_epsfig_unused=ratio(self.epsfig_unused, self.epsfig_declared),
             page_histogram=dict(sorted(self.page_histogram.items())),
-            monthly_histogram=tuple(self.monthly),
+            monthly_histogram=tuple(self.monthly[m] for m in range(12)),
             yearly_histogram=dict(sorted(self.yearly.items())),
         )
 
@@ -334,27 +314,6 @@ def summarize(
         category: accumulators[category].summary()
         for category in sorted(accumulators)
     }
-
-
-def date_histograms(
-    features: Iterable[FeatureVector],
-    diagnostics: list[Diagnostic] | None = None,
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """(per-calendar-month counts, per-year counts) over dated papers."""
-    monthly = [0] * 12
-    yearly: Counter[int] = Counter()
-    skipped = 0
-    for fv in features:
-        if fv.timestamp is None:
-            skipped += 1
-            continue
-        monthly[fv.timestamp.month - 1] += 1
-        yearly[fv.timestamp.year] += 1
-    if skipped and diagnostics is not None:
-        diagnostics.append(
-            Diagnostic("dates", f"{skipped} papers lack a timestamp; skipped")
-        )
-    return tuple(monthly), dict(sorted(yearly.items()))
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,17 @@ class TestExtract:
         )
         assert code == 2
 
+    def test_corrupt_entry_is_reported_and_skipped(self, corpus, capsys):
+        bad = corpus / "corpus" / "bad_1"
+        bad.mkdir()
+        (bad / "meta.json").write_text("{ not json")
+        out, _, words = run_extract(corpus)
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("[extract] bad_1: ")
+        records = read_ndjson(out, FEATURES_SCHEMA)
+        assert [r["id"] for r in records] == ["cs/0001", "math/0002", "math/0003"]
+        assert len(read_ndjson(words, "texcorpus.words")) == 3
+
     def test_repeat_runs_byte_identical(self, corpus):
         out, _, _ = run_extract(corpus)
         first = out.read_bytes()

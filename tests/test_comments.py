@@ -10,7 +10,6 @@ from texcorpus.comments import (
     NormalizingOracle,
     OracleBudgetExceeded,
     OverlappingMaximalComments,
-    comment_stats,
     comment_words,
     detect_ignore_macros,
     extract_line_comments,
@@ -26,6 +25,29 @@ from texcorpus.errors import Diagnostic
 from texcorpus.lexer import tokenize
 
 COMMENTISH = st.text(alphabet="ab%\n ", max_size=12)
+
+
+def loop_strip_line_comments(text):
+    """The per-character loop strip_line_comments used to be: the
+    reference its regex is checked against."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\\" and i + 1 < n:
+            out.append(text[i : i + 2])
+            i += 2
+        elif c == "%":
+            stop = text.find("\n", i)
+            if stop == -1:
+                i = n
+            else:
+                i = stop
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
 
 
 def brute_force_maximal(s, oracle):
@@ -49,6 +71,11 @@ class TestReferenceOracle:
 
     def test_unterminated_comment_stripped_to_end(self):
         assert strip_line_comments("a%xyz") == "a"
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet="a \\%\n\t{é", max_size=60))
+    def test_strip_matches_character_loop(self, text):
+        assert strip_line_comments(text) == loop_strip_line_comments(text)
 
     def test_equivalence_collapses_whitespace(self):
         oracle = reference_oracle()
@@ -231,6 +258,10 @@ class TestLineComments:
         source = "\\begin{verbatim}%x\\end{verbatim}"
         assert extract_line_comments(source, tokenize(source)) == []
 
+    def test_comment_words_order(self):
+        spans = [CommentSpan(kind="line", start=1, end=3, text="B a")]
+        assert comment_words(spans) == ["b", "a"]
+
 
 class TestIgnoreMacroDetection:
     def test_braced_newcommand(self):
@@ -333,23 +364,3 @@ class TestMacroComments:
     def test_no_macros_no_scan(self):
         assert self.source_spans("plain text") == []
 
-
-class TestCommentStats:
-    def test_word_accounting(self):
-        spans = [
-            CommentSpan(kind="line", start=1, end=5, text="todo fix this"),
-            CommentSpan(kind="macro", start=10, end=20, text="fix it"),
-        ]
-        stats = comment_stats(spans, text_word_count=95)
-        assert stats.word_count == 5
-        assert stats.word_fraction_of_paper == 5 / 100
-        assert stats.distinct_words == 4  # todo, fix, this, it
-
-    def test_empty_document(self):
-        stats = comment_stats([], text_word_count=0)
-        assert stats.word_count == 0
-        assert stats.word_fraction_of_paper == 0.0
-
-    def test_comment_words_order(self):
-        spans = [CommentSpan(kind="line", start=1, end=3, text="B a")]
-        assert comment_words(spans) == ["b", "a"]

@@ -140,27 +140,36 @@ class TestGraphics:
         tokens = tokenize(source)
         return analyze_graphics(tokens, extract_packages(source, tokens))
 
+    def features(self, source):
+        doc = SourceDocument(id="g/1", files=[("main.tex", source.encode())])
+        return extract_document(doc).features
+
     def test_declared_and_used(self):
-        use = self.analyze(
-            "\\usepackage{graphicx}\\includegraphics{a}\\includegraphics{b}"
-        )
+        source = "\\usepackage{graphicx}\\includegraphics{a}\\includegraphics{b}"
+        use = self.analyze(source)
         assert use.graphicx_declared and use.includegraphics_count == 2
-        assert not use.graphicx_unused
+        assert not self.features(source).graphicx_unused
 
     def test_declared_unused(self):
-        use = self.analyze(r"\usepackage{graphicx}")
-        assert use.graphicx_declared and use.graphicx_unused
+        source = r"\usepackage{graphicx}"
+        assert self.analyze(source).graphicx_declared
+        assert self.features(source).graphicx_unused
 
     def test_epsfig(self):
-        use = self.analyze(r"\usepackage{epsfig}\epsfig{file=x.eps}")
+        source = r"\usepackage{epsfig}\epsfig{file=x.eps}"
+        use = self.analyze(source)
         assert use.epsfig_declared and use.epsfig_command_count == 1
-        assert not use.epsfig_unused
+        assert not self.features(source).epsfig_unused
+
+    def test_epsfig_declared_unused(self):
+        assert self.features(r"\usepackage{epsfig}").epsfig_unused
 
     def test_used_without_declaration(self):
-        use = self.analyze(r"\includegraphics{a}")
+        source = r"\includegraphics{a}"
+        use = self.analyze(source)
         assert not use.graphicx_declared
         assert use.includegraphics_count == 1
-        assert not use.graphicx_unused
+        assert not self.features(source).graphicx_unused
 
 
 class TestTheorems:

@@ -423,17 +423,6 @@ class TestCorpusStore:
         store.save(self.doc("a/1"))
         assert store.ids() == ["a_1", "b_2"]
 
-    def test_documents_skip_corrupt_with_diagnostic(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.save(self.doc("good/1"))
-        bad = tmp_path / "bad_1"
-        bad.mkdir()
-        (bad / "meta.json").write_text("{ not json")
-        diagnostics = []
-        docs = list(store.documents(diagnostics))
-        assert [d.id for d in docs] == ["good/1"]
-        assert len(diagnostics) == 1
-
     def test_load_checks_schema(self, tmp_path):
         store = CorpusStore(tmp_path)
         bad = tmp_path / "x"

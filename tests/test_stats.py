@@ -19,7 +19,6 @@ from texcorpus.stats import (
     FilterMismatch,
     FilterSpec,
     build_table,
-    date_histograms,
     discriminative,
     grouped_means,
     linear_trend,
@@ -203,10 +202,12 @@ class TestSummaries:
             make_fv(timestamp=date(2000, 1, 5), page_count=6),
             make_fv(timestamp=date(2001, 1, 7), page_count=6),
             make_fv(timestamp=date(2001, 6, 2), page_count=9),
+            make_fv(timestamp=None, page_count=None),
         ]
-        summary = summarize(features)["cs"]
-        assert summary.monthly_histogram[0] == 2
-        assert summary.monthly_histogram[5] == 1
+        diagnostics: list[Diagnostic] = []
+        summary = summarize(features, diagnostics)["cs"]
+        assert summary.monthly_histogram == (2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+        assert len(diagnostics) == 1 and "1 papers" in diagnostics[0].message
         assert summary.yearly_histogram == {2000: 1, 2001: 2}
         assert summary.page_histogram == {6: 2, 9: 1}
         assert summary.modal_pages == 6
@@ -254,20 +255,6 @@ class TestSummaries:
         b = CategoryAccumulator(category="math")
         with pytest.raises(ValueError):
             a.merge(b)
-
-
-class TestDateHistograms:
-    def test_counts_by_month_and_year(self):
-        features = [
-            make_fv(timestamp=date(1999, 12, 1)),
-            make_fv(timestamp=date(2000, 12, 9)),
-            make_fv(timestamp=None),
-        ]
-        diagnostics: list[Diagnostic] = []
-        monthly, yearly = date_histograms(features, diagnostics)
-        assert monthly[11] == 2
-        assert yearly == {1999: 1, 2000: 1}
-        assert len(diagnostics) == 1 and "1 papers" in diagnostics[0].message
 
 
 class TestLinearTrend:
