@@ -50,6 +50,7 @@ from .lexer import (
     SourceDocument,
     Token,
     TokenKind,
+    TokenStream,
     alphabetic_words,
     detect_main_file,
     group_closers,
@@ -89,6 +90,7 @@ __all__ = [
     "TexcorpusError",
     "Token",
     "TokenKind",
+    "TokenStream",
     "TrainConfig",
     "TrendFit",
     "alphabetic_words",

@@ -15,6 +15,7 @@ import csv
 import json
 import re
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from datetime import date
@@ -73,32 +74,41 @@ class NdjsonWriter:
         self.close()
 
 
-def read_ndjson(path: str | Path, schema_name: str) -> list[dict]:
-    """Load records, checking the schema line."""
+def _json_object(line: str, where: str) -> dict:
+    try:
+        value = json.loads(line)
+    except ValueError as exc:
+        raise UsageError(f"{where}: bad JSON") from exc
+    if not isinstance(value, dict):
+        raise UsageError(f"{where}: not a JSON object")
+    return value
+
+
+def _numbered_records(
+    path: str | Path, schema_name: str
+) -> Iterator[tuple[str, dict]]:
+    """Yield ("path:line", record) for each record, checking the schema line."""
     try:
         handle = open(path, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot open {path}: {exc}") from exc
     with handle:
         first = handle.readline()
-        try:
-            schema = json.loads(first) if first.strip() else {}
-        except ValueError as exc:
-            raise UsageError(f"{path}: first line is not JSON") from exc
+        schema = _json_object(first, f"{path}:1") if first.strip() else {}
         if schema.get("record") != "schema" or schema.get("name") != schema_name:
             raise UsageError(
                 f"{path}: expected a {schema_name} file, found "
                 f"{schema.get('name')!r}"
             )
-        records = []
         for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad JSON") from exc
-        return records
+            if line.strip():
+                where = f"{path}:{lineno}"
+                yield where, _json_object(line, where)
+
+
+def read_ndjson(path: str | Path, schema_name: str) -> list[dict]:
+    """Load records, checking the schema line and that each is an object."""
+    return [record for _, record in _numbered_records(path, schema_name)]
 
 
 def _same(value):
@@ -157,7 +167,13 @@ def parse_feature_record(record: dict) -> FeatureVector:
 
 
 def read_features(path: str | Path) -> list[FeatureVector]:
-    return [parse_feature_record(r) for r in read_ndjson(path, FEATURES_SCHEMA)]
+    features = []
+    for where, record in _numbered_records(path, FEATURES_SCHEMA):
+        try:
+            features.append(parse_feature_record(record))
+        except UsageError as exc:
+            raise UsageError(f"{where}: {exc}") from exc
+    return features
 
 
 def _stderr_diagnostics(diagnostics: list[Diagnostic]) -> None:
@@ -287,8 +303,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- discriminate
 
 def _words_by_doc(path: str | Path) -> dict[str, dict]:
-    records = read_ndjson(path, WORDS_SCHEMA)
-    return {record["doc_id"]: record for record in records}
+    by_doc = {}
+    for where, record in _numbered_records(path, WORDS_SCHEMA):
+        doc_id = record.get("doc_id")
+        if not isinstance(doc_id, str) or not all(
+            isinstance(record.get(key), list) for key in ("words", "comment_words")
+        ):
+            raise UsageError(
+                f"{where}: a words record needs a doc_id string and "
+                "words and comment_words lists"
+            )
+        by_doc[doc_id] = record
+    return by_doc
 
 
 def _pick_categories(features: list[FeatureVector], names: str | None) -> tuple[str, str]:
@@ -641,9 +667,6 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(_dump({"record": "error", "message": str(exc)}), file=sys.stderr)
-        return 2
     except TexcorpusError as exc:
         print(_dump({"record": "error", "message": str(exc)}), file=sys.stderr)
         return 2

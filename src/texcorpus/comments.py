@@ -26,9 +26,9 @@ from .lexer import (
     OTHER,
     WORD,
     Token,
+    TokenStream,
     _next_significant,
     alphabetic_words,
-    group_closers,
 )
 
 
@@ -233,46 +233,36 @@ def extract_line_comments(source: str, tokens: list[Token]) -> list[CommentSpan]
     return spans
 
 
-def _is_empty_body(
-    tokens: list[Token], open_idx: int, closers: list[int]
-) -> tuple[bool, int]:
+def _is_empty_body(tokens: TokenStream, open_idx: int) -> tuple[bool, int]:
     """Whether the group starting at open_idx has no significant content.
 
     Returns (empty, index just past the closing brace). Nested groups make
     the body non-empty. An unclosed group is non-empty and swallows the
     rest of the stream, so the index is then the stream's length.
     """
-    close = closers[open_idx]
+    close = tokens.closers[open_idx]
     if close == -1:
         return False, len(tokens)
     empty = all(tokens[k].kind in _SKIPPABLE for k in range(open_idx + 1, close))
     return empty, close + 1
 
 
-def detect_ignore_macros(
-    tokens: list[Token], *, closers: list[int] | None = None
-) -> set[str]:
+def detect_ignore_macros(tokens: TokenStream) -> set[str]:
     """Names of macros defined to swallow one argument and expand to nothing.
 
     Recognizes ``\\newcommand{\\x}[1]{}`` (brace-wrapped or bare control
     sequence, optional ``*``), ``\\renewcommand`` likewise, and
     ``\\def\\x#1{}``. A name bound by \\newcommand keeps its first
-    definition; \\renewcommand and \\def rebind. ``closers`` is the
-    stream's ``group_closers`` table, computed here when omitted.
+    definition; \\renewcommand and \\def rebind.
     """
-    if closers is None:
-        closers = group_closers(tokens)
     ignore: set[str] = set()
     defined: set[str] = set()
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is not COMMAND:
-            i += 1
+    resume = 0  # index just past the last definition parsed
+    for i, tok in enumerate(tokens):
+        if tok.kind is not COMMAND or i < resume:
             continue
         if tok.value in ("newcommand", "renewcommand"):
-            name, empty, nxt = _parse_newcommand(tokens, i + 1, closers)
+            name, empty, nxt = _parse_newcommand(tokens, i + 1)
             if name is not None:
                 if tok.value == "newcommand":
                     if name not in defined:
@@ -285,25 +275,20 @@ def detect_ignore_macros(
                         ignore.add(name)
                     else:
                         ignore.discard(name)
-                i = nxt
-                continue
+                resume = nxt
         elif tok.value == "def":
-            name, empty, nxt = _parse_def(tokens, i + 1, closers)
+            name, empty, nxt = _parse_def(tokens, i + 1)
             if name is not None:
                 defined.add(name)
                 if empty:
                     ignore.add(name)
                 else:
                     ignore.discard(name)
-                i = nxt
-                continue
-        i += 1
+                resume = nxt
     return ignore
 
 
-def _parse_newcommand(
-    tokens: list[Token], idx: int, closers: list[int]
-) -> tuple[str | None, bool, int]:
+def _parse_newcommand(tokens: TokenStream, idx: int) -> tuple[str | None, bool, int]:
     """Parse the tail of \\newcommand/\\renewcommand.
 
     Returns (macro name, body-is-empty, resume index); name is None when
@@ -350,13 +335,11 @@ def _parse_newcommand(
 
     if not (idx < n and tokens[idx].kind is GROUP_OPEN):
         return None, False, idx
-    empty, nxt = _is_empty_body(tokens, idx, closers)
+    empty, nxt = _is_empty_body(tokens, idx)
     return name, empty, nxt
 
 
-def _parse_def(
-    tokens: list[Token], idx: int, closers: list[int]
-) -> tuple[str | None, bool, int]:
+def _parse_def(tokens: TokenStream, idx: int) -> tuple[str | None, bool, int]:
     """Parse the tail of \\def\\x#1{...}."""
     n = len(tokens)
     idx = _next_significant(tokens, idx)
@@ -372,45 +355,35 @@ def _parse_def(
     idx = _next_significant(tokens, idx + 1)
     if not (idx < n and tokens[idx].kind is GROUP_OPEN):
         return None, False, idx
-    empty, nxt = _is_empty_body(tokens, idx, closers)
+    empty, nxt = _is_empty_body(tokens, idx)
     return name, empty, nxt
 
 
 def extract_macro_comments(
     source: str,
-    tokens: list[Token],
-    ignore_macros: set[str] | None = None,
+    tokens: TokenStream,
+    ignore_macros: set[str],
     diagnostics: list[Diagnostic] | None = None,
-    *,
-    closers: list[int] | None = None,
 ) -> list[CommentSpan]:
     """Arguments of no-op macros, as comment spans covering the invocation.
 
-    ``ignore_macros`` defaults to whatever definitions the token stream
-    itself contains. Invocations with unbalanced braces are skipped with a
+    ``ignore_macros`` names the no-op macros, as ``detect_ignore_macros``
+    finds them. Invocations with unbalanced braces are skipped with a
     diagnostic. Invocations never nest in the result: scanning resumes after
-    each extracted argument. ``closers`` is the stream's ``group_closers``
-    table, computed here when omitted.
+    each extracted argument.
     """
-    if closers is None:
-        closers = group_closers(tokens)
-    if ignore_macros is None:
-        ignore_macros = detect_ignore_macros(tokens, closers=closers)
     if not ignore_macros:
         return []
     spans: list[CommentSpan] = []
-    i = 0
     n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is not COMMAND or tok.value not in ignore_macros:
-            i += 1
+    resume = 0  # index just past the last invocation extracted
+    for i, tok in enumerate(tokens):
+        if tok.kind is not COMMAND or tok.value not in ignore_macros or i < resume:
             continue
         open_idx = _next_significant(tokens, i + 1)
         if not (open_idx < n and tokens[open_idx].kind is GROUP_OPEN):
-            i += 1
             continue
-        close = closers[open_idx]
+        close = tokens.closers[open_idx]
         if close == -1:
             if diagnostics is not None:
                 diagnostics.append(
@@ -420,7 +393,6 @@ def extract_macro_comments(
                         "braces; skipped",
                     )
                 )
-            i += 1
             continue
         close_tok = tokens[close]
         arg_text = source[tokens[open_idx].end : close_tok.start]
@@ -433,7 +405,7 @@ def extract_macro_comments(
                 macro=tok.value,
             )
         )
-        i = close + 1
+        resume = close + 1
     return spans
 
 

@@ -32,10 +32,10 @@ from .lexer import (
     SourceDocument,
     Token,
     TokenKind,
+    TokenStream,
     _next_significant,
     alphabetic_words,
     detect_main_file,
-    group_closers,
     tokenize,
 )
 
@@ -127,23 +127,19 @@ def inline_sources(
 
 
 def _read_group(
-    source: str,
-    tokens: list[Token],
-    idx: int,
-    closers: list[int],
-    opener: TokenKind = GROUP_OPEN,
+    source: str, tokens: TokenStream, idx: int, opener: TokenKind = GROUP_OPEN
 ) -> tuple[str, int] | None:
     """Read a {…} group, or a [...] one when ``opener`` is OPT_OPEN,
     starting at the next significant token.
 
     Returns (inner text, index just past the closer), or None when no
-    well-formed group is there. ``closers`` is the stream's
-    ``group_closers`` table, so a [...] group ends at the first ``]``.
+    well-formed group is there. Extents come from the stream's brace
+    table, so a [...] group ends at the first ``]``.
     """
     idx = _next_significant(tokens, idx)
     if idx >= len(tokens) or tokens[idx].kind is not opener:
         return None
-    close = closers[idx]
+    close = tokens.closers[idx]
     if close == -1:
         return None
     return source[tokens[idx].end : tokens[close].start], close + 1
@@ -158,35 +154,25 @@ class PackageUse:
     declared_at: int  # character offset of the declaring command
 
 
-def extract_packages(
-    source: str,
-    tokens: list[Token] | None = None,
-    *,
-    closers: list[int] | None = None,
-) -> list[PackageUse]:
+def extract_packages(source: str, tokens: TokenStream) -> list[PackageUse]:
     """All package declarations, in order, duplicates preserved.
 
     A single \\usepackage[opts]{a, b} yields one entry per package name,
-    each carrying the shared option list. ``closers`` is the stream's
-    ``group_closers`` table, computed here when omitted.
+    each carrying the shared option list.
     """
-    if tokens is None:
-        tokens = tokenize(source)
-    if closers is None:
-        closers = group_closers(tokens)
     uses: list[PackageUse] = []
     for i, tok in enumerate(tokens):
         if tok.kind is not COMMAND or tok.value not in ("usepackage", "RequirePackage"):
             continue
         idx = i + 1
         options: tuple[str, ...] = ()
-        opt = _read_group(source, tokens, idx, closers, OPT_OPEN)
+        opt = _read_group(source, tokens, idx, OPT_OPEN)
         if opt is not None:
             raw_options, idx = opt
             options = tuple(
                 part.strip() for part in raw_options.split(",") if part.strip()
             )
-        group = _read_group(source, tokens, idx, closers)
+        group = _read_group(source, tokens, idx)
         if group is None:
             continue
         names, _ = group
@@ -240,82 +226,67 @@ _THEOREM_TITLES = {"theorem", "lemma", "proposition", "corollary"}
 _BUILTIN_THEOREM_RE = re.compile(r"(theorem|lemma|proposition|corollary)\*?\Z", re.IGNORECASE)
 
 
-def extract_theorems(
-    source: str, tokens: list[Token], *, closers: list[int] | None = None
-) -> TheoremCounts:
+def extract_theorems(source: str, tokens: TokenStream) -> TheoremCounts:
     """Count \\begin{...} uses of theorem environments.
 
     \\newtheorem{env}{Title} binds env to the class of its title when the
     title is Theorem/Lemma/Proposition/Corollary; standard environment
     names count without a binding. theorem_count covers theorems proper,
-    theorem_like_count the other three classes. ``closers`` is the
-    stream's ``group_closers`` table, computed here when omitted.
+    theorem_like_count the other three classes.
     """
-    if closers is None:
-        closers = group_closers(tokens)
     bound: dict[str, str] = {}
-    i = 0
     n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is COMMAND and tok.value == "newtheorem":
-            idx = i + 1
-            nxt = _next_significant(tokens, idx)
-            if nxt < n and tokens[nxt].kind is OTHER and tokens[nxt].value == "*":
-                idx = nxt + 1
-            group = _read_group(source, tokens, idx, closers)
-            if group is not None:
-                env_name, idx = group
-                opt = _read_group(source, tokens, idx, closers, OPT_OPEN)
-                if opt is not None:
-                    _, idx = opt
-                title_group = _read_group(source, tokens, idx, closers)
-                if title_group is not None:
-                    title, idx = title_group
-                    normalized = title.strip().lower()
-                    if normalized in _THEOREM_TITLES:
-                        bound[env_name.strip()] = normalized
-                i = idx
-                continue
-        i += 1
+    resume = 0  # index just past the last declaration read
+    for i, tok in enumerate(tokens):
+        if tok.kind is not COMMAND or tok.value != "newtheorem" or i < resume:
+            continue
+        idx = i + 1
+        nxt = _next_significant(tokens, idx)
+        if nxt < n and tokens[nxt].kind is OTHER and tokens[nxt].value == "*":
+            idx = nxt + 1
+        group = _read_group(source, tokens, idx)
+        if group is not None:
+            env_name, idx = group
+            opt = _read_group(source, tokens, idx, OPT_OPEN)
+            if opt is not None:
+                _, idx = opt
+            title_group = _read_group(source, tokens, idx)
+            if title_group is not None:
+                title, idx = title_group
+                normalized = title.strip().lower()
+                if normalized in _THEOREM_TITLES:
+                    bound[env_name.strip()] = normalized
+            resume = idx
 
     theorem = 0
     theorem_like = 0
-    i = 0
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is COMMAND and tok.value == "begin":
-            group = _read_group(source, tokens, i + 1, closers)
-            if group is not None:
-                env, nxt = group
-                env = env.strip()
-                cls = bound.get(env)
-                if cls is None:
-                    m = _BUILTIN_THEOREM_RE.match(env)
-                    if m:
-                        cls = m.group(1).lower()
-                if cls == "theorem":
-                    theorem += 1
-                elif cls is not None:
-                    theorem_like += 1
-                i = nxt
-                continue
-        i += 1
+    resume = 0  # index just past the last environment name read
+    for i, tok in enumerate(tokens):
+        if tok.kind is not COMMAND or tok.value != "begin" or i < resume:
+            continue
+        group = _read_group(source, tokens, i + 1)
+        if group is not None:
+            env, resume = group
+            env = env.strip()
+            cls = bound.get(env)
+            if cls is None:
+                m = _BUILTIN_THEOREM_RE.match(env)
+                if m:
+                    cls = m.group(1).lower()
+            if cls == "theorem":
+                theorem += 1
+            elif cls is not None:
+                theorem_like += 1
     return TheoremCounts(theorem_count=theorem, theorem_like_count=theorem_like)
 
 
-def count_figures(
-    source: str, tokens: list[Token], *, closers: list[int] | None = None
-) -> int:
-    """Number of figure/figure* environments. ``closers`` is the stream's
-    ``group_closers`` table, computed here when omitted."""
-    if closers is None:
-        closers = group_closers(tokens)
+def count_figures(source: str, tokens: TokenStream) -> int:
+    """Number of figure/figure* environments."""
     count = 0
     for i, tok in enumerate(tokens):
         if tok.kind is not COMMAND or tok.value != "begin":
             continue
-        group = _read_group(source, tokens, i + 1, closers)
+        group = _read_group(source, tokens, i + 1)
         if group is not None and group[0].strip() in ("figure", "figure*"):
             count += 1
     return count
@@ -342,9 +313,7 @@ class AuthorInfo:
 _AUTHOR_NOISE_MACROS = {"thanks", "affil", "affiliation"}
 
 
-def _segment_has_words(
-    tokens: list[Token], start: int, stop: int, closers: list[int]
-) -> bool:
+def _segment_has_words(tokens: TokenStream, start: int, stop: int) -> bool:
     """Whether tokens[start:stop], one name segment, has visible words
     outside noise macros. tokens[stop] must be significant: a separator or
     the closing brace of the block."""
@@ -354,7 +323,7 @@ def _segment_has_words(
         if tok.kind is COMMAND and tok.value in _AUTHOR_NOISE_MACROS:
             idx = _next_significant(tokens, i + 1)
             if idx < stop and tokens[idx].kind is GROUP_OPEN:
-                close = closers[idx]
+                close = tokens.closers[idx]
                 if close != -1:
                     i = close + 1
                     continue
@@ -366,10 +335,11 @@ def _segment_has_words(
     return False
 
 
-def _count_block_authors(tokens: list[Token], open_idx: int, closers: list[int]) -> int:
+def _count_block_authors(tokens: TokenStream, open_idx: int) -> int:
     """Authors inside the \\author{...} group opening at open_idx: segments
     split on \\and or \\\\ at brace depth zero, counting segments that
     carry a name. The group is closed, so every group inside it is too."""
+    closers = tokens.closers
     close = closers[open_idx]
     count = 0
     start = i = open_idx + 1
@@ -379,24 +349,19 @@ def _count_block_authors(tokens: list[Token], open_idx: int, closers: list[int])
             i = closers[i] + 1
             continue
         if tok.kind is COMMAND and tok.value in ("and", "\\"):
-            count += _segment_has_words(tokens, start, i, closers)
+            count += _segment_has_words(tokens, start, i)
             start = i + 1
         i += 1
-    return count + _segment_has_words(tokens, start, close, closers)
+    return count + _segment_has_words(tokens, start, close)
 
 
-def extract_authors(
-    source: str, tokens: list[Token], *, closers: list[int] | None = None
-) -> AuthorInfo:
+def extract_authors(source: str, tokens: TokenStream) -> AuthorInfo:
     """Count authors from \\author declarations.
 
     Several \\author blocks before \\maketitle mean one author per block
     (the affiliation-package convention). A single block is split on \\and
-    and on line breaks. ``closers`` is the stream's ``group_closers``
-    table, computed here when omitted.
+    and on line breaks.
     """
-    if closers is None:
-        closers = group_closers(tokens)
     maketitle_at: int | None = None
     for i, tok in enumerate(tokens):
         if tok.kind is COMMAND and tok.value == "maketitle":
@@ -410,11 +375,11 @@ def extract_authors(
         if maketitle_at is not None and i > maketitle_at:
             break
         idx = i + 1
-        opt = _read_group(source, tokens, idx, closers, OPT_OPEN)
+        opt = _read_group(source, tokens, idx, OPT_OPEN)
         if opt is not None:
             _, idx = opt
         idx = _next_significant(tokens, idx)
-        group = _read_group(source, tokens, idx, closers)
+        group = _read_group(source, tokens, idx)
         if group is None:
             continue
         if group[0].strip():
@@ -425,7 +390,7 @@ def extract_authors(
     if len(blocks) > 1:
         return AuthorInfo(count=len(blocks), block_found=True)
     return AuthorInfo(
-        count=_count_block_authors(tokens, blocks[0], closers), block_found=True
+        count=_count_block_authors(tokens, blocks[0]), block_found=True
     )
 
 
@@ -504,9 +469,7 @@ class ExtractionResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def extract_document(
-    doc: SourceDocument, ignore_macros: set[str] | None = None
-) -> ExtractionResult:
+def extract_document(doc: SourceDocument) -> ExtractionResult:
     """Run the whole extraction pipeline on one document.
 
     Comment spans in the result index into the document's assembled source
@@ -533,23 +496,20 @@ def extract_document(
 
     source = inline_sources(texts, main, diagnostics)
     tokens = tokenize(source)
-    closers = group_closers(tokens)
 
     line_spans = extract_line_comments(source, tokens)
-    if ignore_macros is None:
-        ignore_macros = detect_ignore_macros(tokens, closers=closers)
     macro_spans = extract_macro_comments(
-        source, tokens, ignore_macros, diagnostics, closers=closers
+        source, tokens, detect_ignore_macros(tokens), diagnostics
     )
     comments = sorted(line_spans + macro_spans, key=lambda s: (s.start, s.end))
 
     text_words = collect_words(tokens, _to_char_ranges(macro_spans))
     c_words = comment_words(comments)
 
-    packages = extract_packages(source, tokens, closers=closers)
+    packages = extract_packages(source, tokens)
     graphics = analyze_graphics(tokens, packages)
-    theorems = extract_theorems(source, tokens, closers=closers)
-    authors = extract_authors(source, tokens, closers=closers)
+    theorems = extract_theorems(source, tokens)
+    authors = extract_authors(source, tokens)
     distinct_packages = tuple(sorted({p.name for p in packages}))
 
     features = FeatureVector(
@@ -565,7 +525,7 @@ def extract_document(
         newcommand_count=count_newcommands(tokens),
         theorem_count=theorems.theorem_count,
         theorem_like_count=theorems.theorem_like_count,
-        figure_count=count_figures(source, tokens, closers=closers),
+        figure_count=count_figures(source, tokens),
         includegraphics_count=graphics.includegraphics_count,
         epsfig_command_count=graphics.epsfig_command_count,
         graphicx_declared=graphics.graphicx_declared,

@@ -46,10 +46,6 @@ def source_base() -> str:
     return os.environ.get("TEXCORPUS_SOURCE_BASE", DEFAULT_SOURCE_BASE)
 
 
-def cache_dir() -> Path:
-    return Path(os.environ.get("TEXCORPUS_CACHE_DIR", "~/.cache/texcorpus")).expanduser()
-
-
 def default_delay() -> float:
     return float(os.environ.get("TEXCORPUS_DELAY", str(DEFAULT_DELAY)))
 
@@ -245,12 +241,11 @@ def query_listing(
     to_date: date | None = None,
     base_url: str | None = None,
     fetch: FetchFn | None = None,
-    primary_only: bool = True,
 ) -> tuple[list[PaperRecord], FeedPage]:
     """Fetch and parse one page of the listing for a category.
 
-    With primary_only, entries whose primary category differs (they match
-    the query through a cross-list) are dropped.
+    Entries whose primary category differs (they match the query through a
+    cross-list) are dropped from the records; the page keeps them.
     """
     fetch = fetch or http_fetch
     url = base_url or api_base()
@@ -270,9 +265,7 @@ def query_listing(
     status, headers, body = fetch(url, params=params)
     _raise_for_status(status, headers, url)
     page = parse_listing_feed(body)
-    records = list(page.records)
-    if primary_only:
-        records = [r for r in records if r.primary_category == category]
+    records = [r for r in page.records if r.primary_category == category]
     return records, page
 
 
@@ -361,7 +354,7 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _TEX_MARKERS = (b"\\documentclass", b"\\documentstyle", b"\\begin{document}")
 
 
-def _gunzip_head(payload: bytes, limit: int = 4096) -> bytes:
+def _gunzip_head(payload: bytes, limit: int) -> bytes:
     d = zlib.decompressobj(wbits=47)
     return d.decompress(payload[:65536], limit)
 
@@ -660,11 +653,11 @@ class HarvestReport:
 
 
 def fetch_source(
-    paper_id: str, fetch: FetchFn | None = None, base: str | None = None
+    paper_id: str, fetch: FetchFn | None = None
 ) -> tuple[bytes, str | None]:
     """Download one paper's source payload; returns (bytes, content type)."""
     fetch = fetch or http_fetch
-    url = f"{(base or source_base()).rstrip('/')}/{paper_id}"
+    url = f"{source_base().rstrip('/')}/{paper_id}"
     status, headers, body = fetch(url)
     _raise_for_status(status, headers, url)
     content_type = headers.get("Content-Type") or headers.get("content-type")

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from string import ascii_letters
 
 from .errors import TexcorpusError
@@ -103,12 +104,9 @@ _SINGLE_CHAR_KINDS = {
 }
 
 
-def _begin_verbatim_re(environments: tuple[str, ...]) -> re.Pattern:
-    names = "|".join(re.escape(name) for name in environments)
-    return re.compile(r"[ \t]*\{(" + names + r")\}")
-
-
-_DEFAULT_BEGIN_RE = _begin_verbatim_re(VERBATIM_ENVIRONMENTS)
+_BEGIN_VERBATIM_RE = re.compile(
+    r"[ \t]*\{(" + "|".join(re.escape(name) for name in VERBATIM_ENVIRONMENTS) + r")\}"
+)
 
 
 def _emit_plain_runs(text: str, start: int, end: int, out: list[Token]) -> None:
@@ -121,10 +119,7 @@ def _emit_plain_runs(text: str, start: int, end: int, out: list[Token]) -> None:
         out.append(Token(kind, m.group(), m.start(), m.end()))
 
 
-def tokenize(
-    source: str | bytes,
-    verbatim_environments: tuple[str, ...] = VERBATIM_ENVIRONMENTS,
-) -> list[Token]:
+def tokenize(source: str | bytes) -> TokenStream:
     """Convert LaTeX source into a lossless token stream.
 
     Total over arbitrary input: malformed constructs degrade to OTHER
@@ -133,11 +128,6 @@ def tokenize(
     emitted as WORD/WHITESPACE tokens, so no LINE_COMMENT can start there.
     """
     text = decode_source(source)
-    begin_re = (
-        _DEFAULT_BEGIN_RE
-        if verbatim_environments == VERBATIM_ENVIRONMENTS
-        else _begin_verbatim_re(verbatim_environments)
-    )
     tokens: list[Token] = []
     i = 0
     n = len(text)
@@ -168,7 +158,7 @@ def tokenize(
                 if name == "verb":
                     i = _lex_verb(text, i, tokens)
                 elif name == "begin":
-                    m = begin_re.match(text, i)
+                    m = _BEGIN_VERBATIM_RE.match(text, i)
                     if m:
                         pending_verbatim = (m.end(), m.group(1))
             elif i + 1 < n:
@@ -206,7 +196,8 @@ def tokenize(
             tokens.append(Token(OTHER, c, i, i + 1))
             i += 1
 
-    return tokens
+    # built as a plain list: appending to the subclass in the loop is slower
+    return TokenStream(tokens)
 
 
 def _lex_verb(text: str, i: int, tokens: list[Token]) -> int:
@@ -230,6 +221,22 @@ def _lex_verb(text: str, i: int, tokens: list[Token]) -> int:
         tokens.append(Token(OTHER, delim, j, j + 1))
         j += 1
     return j
+
+
+class TokenStream(list):
+    """The tokens of one source, in order, with its brace table.
+
+    ``closers`` is ``group_closers`` of the stream, built on first use and
+    then kept, so every extractor that reads group extents shares one
+    table per document. The table describes the stream as tokenized:
+    treat the stream as immutable. Scan it with ``for``, not an index
+    loop: the interpreter's fast path for ``tokens[i]`` takes exact lists
+    only, so indexing the subclass costs about 50 % more per token.
+    """
+
+    @cached_property
+    def closers(self) -> list[int]:
+        return group_closers(self)
 
 
 def group_closers(tokens: list[Token]) -> list[int]:

@@ -348,7 +348,12 @@ def linear_trend(xs: Iterable[float], ys: Iterable[float]) -> TrendFit:
         raise DegenerateX("x has no variance")
     slope = cov / var_x
     intercept = mean_y - slope * mean_x
-    r = 0.0 if var_y == 0.0 else cov / math.sqrt(var_x * var_y)
+    r = 0.0
+    if var_y != 0.0:
+        # the product of two tiny variances can underflow to zero, and
+        # rounding in subnormal sums can carry |r| past 1
+        scale = math.sqrt(var_x * var_y) or math.sqrt(var_x) * math.sqrt(var_y)
+        r = max(-1.0, min(1.0, cov / scale))
     return TrendFit(slope=slope, intercept=intercept, r=r, n=n)
 
 

@@ -400,3 +400,39 @@ class TestWiring:
             ["stats", "--features", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+class TestMalformedRecords:
+    """Input records of the wrong shape are usage errors naming file and line."""
+
+    def write(self, path, *lines):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return path
+
+    def test_schema_line_not_an_object(self, tmp_path, capsys):
+        features = self.write(tmp_path / "f.ndjson", "[1]")
+        code = main(["stats", "--features", str(features), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{features}:1: not a JSON object" in capsys.readouterr().err
+
+    def test_feature_line_not_an_object(self, tmp_path, capsys):
+        schema = json.dumps({"record": "schema", "name": FEATURES_SCHEMA, "version": 1})
+        features = self.write(tmp_path / "f.ndjson", schema, "[1,2]")
+        code = main(["stats", "--features", str(features), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{features}:2: not a JSON object" in capsys.readouterr().err
+
+    def test_words_record_without_doc_id(self, corpus, capsys):
+        out, _, _ = run_extract(corpus)
+        schema = json.dumps({"record": "schema", "name": "texcorpus.words", "version": 1})
+        words = self.write(corpus / "w.ndjson", schema, '{"x":1}')
+        code = main(
+            [
+                "discriminate",
+                "--features", str(out),
+                "--words", str(words),
+                "--out", str(corpus / "d"),
+            ]
+        )
+        assert code == 2
+        assert f"{words}:2: a words record needs" in capsys.readouterr().err

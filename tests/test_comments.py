@@ -319,9 +319,11 @@ class TestIgnoreMacroDetection:
 
 
 class TestMacroComments:
-    def source_spans(self, source, **kwargs):
+    def source_spans(self, source, ignore_macros=None, diagnostics=None):
         tokens = tokenize(source)
-        return extract_macro_comments(source, tokens, **kwargs)
+        if ignore_macros is None:
+            ignore_macros = detect_ignore_macros(tokens)
+        return extract_macro_comments(source, tokens, ignore_macros, diagnostics)
 
     def test_basic_invocation(self):
         source = "\\newcommand{\\hide}[1]{}\nbefore \\hide{secret words} after"

@@ -155,12 +155,6 @@ class TestVerbatim:
         tokens = tokenize("\\verb|abc\n%real\n")
         assert TokenKind.LINE_COMMENT in kinds(tokens)
 
-    def test_custom_environment_tuple(self):
-        source = "\\begin{code}% x\\end{code}"
-        assert TokenKind.LINE_COMMENT in kinds(tokenize(source))
-        opaque = tokenize(source, verbatim_environments=("code",))
-        assert TokenKind.LINE_COMMENT not in kinds(opaque)
-
     @given(st.text(alphabet="ab%{ \t\n\x1c\xa0\u2003", max_size=40))
     @settings(max_examples=200)
     def test_verbatim_body_is_alternating_runs(self, body):

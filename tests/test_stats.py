@@ -280,6 +280,21 @@ class TestLinearTrend:
         with pytest.raises(ValueError):
             linear_trend([1, 2], [1])
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            # the product of the two variances underflows to zero
+            ([0.0, 1.3548625690935062e-131], [0.0, 1.3548625690935062e-131]),
+            # subnormal sums, where cov / scale alone comes out as 2.0
+            (
+                [-6.021811682993518e-163, 3.951330465003351e-162, 3.9813031468371147e-162],
+                [7.318910088399118e-163, 1.0017209268844363e-162, 3.5882633061633255e-162],
+            ),
+        ],
+    )
+    def test_tiny_variances_keep_r_bounded(self, xs, ys):
+        assert -1.0 <= linear_trend(xs, ys).r <= 1.0
+
     def test_matches_polyfit_on_random_data(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
