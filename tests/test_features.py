@@ -400,6 +400,21 @@ class TestExtractDocument:
 
 
 class TestBraceTable:
+    SOURCE = (
+        "\\usepackage[a]{b}\\newtheorem{thm}{Theorem}\\begin{thm}\\begin{figure}"
+        "\\author{Ann\\thanks{x} \\and Bob}\\usepackage[open{c}\\begin{"
+    )
+
+    @pytest.mark.parametrize(
+        "extract", [extract_packages, extract_theorems, count_figures, extract_authors]
+    )
+    def test_given_table_gives_same_result(self, extract):
+        # a table built apart from the stream and handed to it reads the
+        # same as the one the stream builds on first use
+        given = tokenize(self.SOURCE)
+        given.closers = group_closers(list(given))
+        assert extract(self.SOURCE, given) == extract(self.SOURCE, tokenize(self.SOURCE))
+
     def test_one_table_per_token_stream(self, monkeypatch):
         builds = []
 
