@@ -4,121 +4,93 @@ Pipeline: harvest sources from an arXiv-compatible API, tokenize them,
 extract comments (syntactically and against a formal compilation-oracle
 model), measure document structure, then aggregate into corpus statistics,
 discriminative vocabularies, trends and a subject classifier.
+
+Each public name is imported from its module on first access, so
+importing the package, or one module of it, loads numpy only when a
+classifier name is used and requests only when a network fetch is made.
 """
 
-from .classify import (
-    FEATURE_NAMES,
-    EvalReport,
-    LogisticModel,
-    TrainConfig,
-    evaluate,
-    load_model,
-    save_model,
-    train_classifier,
-    train_test_split,
-)
-from .comments import (
-    CommentSpan,
-    CompilationOracle,
-    NormalizingOracle,
-    detect_ignore_macros,
-    extract_line_comments,
-    extract_macro_comments,
-    is_comment,
-    is_maximal_comment,
-    partition_maximal_comments,
-    reference_oracle,
-    semantic_comments,
-)
-from .errors import Diagnostic, TexcorpusError
-from .features import (
-    ExtractionResult,
-    FeatureVector,
-    extract_document,
-    inline_sources,
-)
-from .harvest import (
-    CorpusStore,
-    FileType,
-    PaperRecord,
-    classify_payload,
-    harvest_into_store,
-    parse_listing_feed,
-    unpack,
-)
-from .lexer import (
-    SourceDocument,
-    Token,
-    TokenKind,
-    TokenStream,
-    alphabetic_words,
-    detect_main_file,
-    group_closers,
-    tokenize,
-)
-from .stats import (
-    CorpusSummary,
-    FilterSpec,
-    FrequencyTable,
-    TrendFit,
-    build_table,
-    discriminative,
-    linear_trend,
-    package_incidence,
-    summarize,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CommentSpan",
-    "CompilationOracle",
-    "CorpusStore",
-    "CorpusSummary",
-    "Diagnostic",
-    "EvalReport",
-    "ExtractionResult",
-    "FEATURE_NAMES",
-    "FeatureVector",
-    "FileType",
-    "FilterSpec",
-    "FrequencyTable",
-    "LogisticModel",
-    "NormalizingOracle",
-    "PaperRecord",
-    "SourceDocument",
-    "TexcorpusError",
-    "Token",
-    "TokenKind",
-    "TokenStream",
-    "TrainConfig",
-    "TrendFit",
-    "alphabetic_words",
-    "build_table",
-    "classify_payload",
-    "detect_ignore_macros",
-    "detect_main_file",
-    "discriminative",
-    "evaluate",
-    "extract_document",
-    "extract_line_comments",
-    "extract_macro_comments",
-    "group_closers",
-    "harvest_into_store",
-    "inline_sources",
-    "is_comment",
-    "is_maximal_comment",
-    "linear_trend",
-    "load_model",
-    "package_incidence",
-    "parse_listing_feed",
-    "partition_maximal_comments",
-    "reference_oracle",
-    "save_model",
-    "semantic_comments",
-    "summarize",
-    "tokenize",
-    "train_classifier",
-    "train_test_split",
-    "unpack",
-]
+# Public name -> the module (relative to this package) that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        ".classify": (
+            "FEATURE_NAMES",
+            "EvalReport",
+            "LogisticModel",
+            "TrainConfig",
+            "evaluate",
+            "load_model",
+            "save_model",
+            "train_classifier",
+            "train_test_split",
+        ),
+        ".comments": (
+            "CommentSpan",
+            "CompilationOracle",
+            "NormalizingOracle",
+            "detect_ignore_macros",
+            "extract_line_comments",
+            "extract_macro_comments",
+            "is_comment",
+            "is_maximal_comment",
+            "partition_maximal_comments",
+            "reference_oracle",
+            "semantic_comments",
+        ),
+        ".errors": ("Diagnostic", "TexcorpusError"),
+        ".features": (
+            "ExtractionResult",
+            "FeatureVector",
+            "extract_document",
+            "inline_sources",
+        ),
+        ".harvest": (
+            "CorpusStore",
+            "FileType",
+            "PaperRecord",
+            "classify_payload",
+            "harvest_into_store",
+            "parse_listing_feed",
+            "unpack",
+        ),
+        ".lexer": (
+            "SourceDocument",
+            "Token",
+            "TokenKind",
+            "TokenStream",
+            "alphabetic_words",
+            "detect_main_file",
+            "group_closers",
+            "tokenize",
+        ),
+        ".stats": (
+            "CorpusSummary",
+            "FilterSpec",
+            "FrequencyTable",
+            "TrendFit",
+            "build_table",
+            "discriminative",
+            "linear_trend",
+            "package_incidence",
+            "summarize",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -15,14 +15,11 @@ import csv
 import json
 import re
 import sys
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
-from . import classify as classify_mod
-from . import harvest as harvest_mod
 from .errors import Diagnostic, TexcorpusError
 from .features import FeatureVector, extract_document
 from .stats import (
@@ -84,25 +81,40 @@ def _json_object(line: str, where: str) -> dict:
     return value
 
 
+def _text_lines(
+    handle: Iterable[bytes], path: str | Path
+) -> Iterator[tuple[str, str]]:
+    """Yield ("path:line", text) for each line of a binary handle.
+
+    Lines are decoded one by one, so a decoding error names its own line.
+    """
+    for lineno, raw in enumerate(handle, start=1):
+        where = f"{path}:{lineno}"
+        try:
+            yield where, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{where}: not UTF-8 text") from exc
+
+
 def _numbered_records(
     path: str | Path, schema_name: str
 ) -> Iterator[tuple[str, dict]]:
     """Yield ("path:line", record) for each record, checking the schema line."""
     try:
-        handle = open(path, encoding="utf-8")
+        handle = open(path, "rb")
     except OSError as exc:
         raise UsageError(f"cannot open {path}: {exc}") from exc
     with handle:
-        first = handle.readline()
-        schema = _json_object(first, f"{path}:1") if first.strip() else {}
+        lines = _text_lines(handle, path)
+        where, first = next(lines, (f"{path}:1", ""))
+        schema = _json_object(first, where) if first.strip() else {}
         if schema.get("record") != "schema" or schema.get("name") != schema_name:
             raise UsageError(
                 f"{path}: expected a {schema_name} file, found "
                 f"{schema.get('name')!r}"
             )
-        for lineno, line in enumerate(handle, start=2):
+        for where, line in lines:
             if line.strip():
-                where = f"{path}:{lineno}"
                 yield where, _json_object(line, where)
 
 
@@ -185,7 +197,9 @@ def _stderr_diagnostics(diagnostics: list[Diagnostic]) -> None:
 
 def _extract_one(root: str, doc_id: str) -> dict:
     """Worker: extract one stored document into plain records."""
-    store = harvest_mod.CorpusStore(root)
+    from .harvest import CorpusStore
+
+    store = CorpusStore(root)
     try:
         doc = store.load(doc_id)
         result = extract_document(doc)
@@ -215,13 +229,20 @@ def _extract_one(root: str, doc_id: str) -> dict:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    store = harvest_mod.CorpusStore(args.corpus)
-    ids = store.ids()
+    from .harvest import CorpusStore
+
+    corpus = Path(args.corpus)
+    if not corpus.is_dir():
+        problem = "is not a directory" if corpus.exists() else "does not exist"
+        raise UsageError(f"corpus {args.corpus} {problem}")
+    ids = CorpusStore(corpus).ids()
     if not ids:
         raise UsageError(f"no documents under {args.corpus}")
-    root = str(store.root)
+    root = str(corpus)
 
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_extract_one, [root] * len(ids), ids))
     else:
@@ -489,6 +510,8 @@ def cmd_trends(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- classify
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from . import classify as classify_mod
+
     features = read_features(args.features)
     categories = {fv.category for fv in features}
     if args.positive not in categories:
@@ -556,6 +579,8 @@ def cmd_harvest(args: argparse.Namespace) -> int:
             raise UsageError("--to is before --from")
     if args.max_records < 1:
         raise UsageError("--max must be at least 1")
+
+    from . import harvest as harvest_mod
 
     store = harvest_mod.CorpusStore(args.store)
     report = harvest_mod.harvest_into_store(

@@ -25,8 +25,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-import requests
-
 from .errors import Diagnostic, TexcorpusError
 from .lexer import SourceDocument
 
@@ -100,6 +98,8 @@ def http_fetch(
     url: str, params: dict | None = None, timeout: float = 30.0
 ) -> tuple[int, dict, bytes]:
     """GET a URL, returning (status, headers, body)."""
+    import requests  # only a network fetch needs it
+
     response = requests.get(
         url, params=params, timeout=timeout, headers={"User-Agent": USER_AGENT}
     )
@@ -547,12 +547,12 @@ class CorpusStore:
 
     Layout: <root>/<safe id>/meta.json plus the source files under
     files/. The metadata file is written last, so its presence marks a
-    complete save; saving an already-present id is a no-op.
+    complete save; saving an already-present id is a no-op. Only saving
+    creates directories: reading a store that does not exist finds no ids.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def _dir(self, doc_id: str) -> Path:
         return self.root / _safe_id(doc_id)
@@ -623,7 +623,9 @@ class CorpusStore:
         )
 
     def ids(self) -> list[str]:
-        """Stored ids, sorted by directory name."""
+        """Stored ids, sorted by directory name; none for a missing root."""
+        if not self.root.exists():
+            return []
         out = []
         for directory in sorted(self.root.iterdir()):
             if directory.name.endswith(".quarantined"):

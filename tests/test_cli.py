@@ -140,6 +140,20 @@ class TestExtract:
         )
         assert code == 2
 
+    def test_missing_corpus_is_usage_error_and_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such"
+        code = main(["extract", "--corpus", str(missing), "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert f"corpus {missing} does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "no").exists()
+
+    def test_corpus_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        regular = tmp_path / "corpus"
+        regular.write_text("not a store")
+        code = main(["extract", "--corpus", str(regular), "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert f"corpus {regular} is not a directory" in capsys.readouterr().err
+
     def test_corrupt_entry_is_reported_and_skipped(self, corpus, capsys):
         bad = corpus / "corpus" / "bad_1"
         bad.mkdir()
@@ -436,3 +450,28 @@ class TestMalformedRecords:
         )
         assert code == 2
         assert f"{words}:2: a words record needs" in capsys.readouterr().err
+
+    def test_feature_line_not_utf8(self, tmp_path, capsys):
+        schema = json.dumps({"record": "schema", "name": FEATURES_SCHEMA, "version": 1})
+        features = tmp_path / "f.ndjson"
+        features.write_bytes(schema.encode() + b"\n\xff\xfe\n")
+        code = main(["stats", "--features", str(features), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{features}:2: not UTF-8 text" in capsys.readouterr().err
+
+    def test_words_line_not_utf8(self, corpus, capsys):
+        out, _, _ = run_extract(corpus)
+        schema = json.dumps({"record": "schema", "name": "texcorpus.words", "version": 1})
+        record = json.dumps({"doc_id": "cs/0001", "words": [], "comment_words": []})
+        words = corpus / "w.ndjson"
+        words.write_bytes(f"{schema}\n{record}\n".encode() + b'{"doc_id":"\xe9"}\n')
+        code = main(
+            [
+                "discriminate",
+                "--features", str(out),
+                "--words", str(words),
+                "--out", str(corpus / "d"),
+            ]
+        )
+        assert code == 2
+        assert f"{words}:3: not UTF-8 text" in capsys.readouterr().err

@@ -431,6 +431,13 @@ class TestCorpusStore:
         with pytest.raises(CorruptMeta):
             store.load("x")
 
+    def test_reading_never_creates_the_root(self, tmp_path):
+        root = tmp_path / "store"
+        assert CorpusStore(root).ids() == []
+        assert not root.exists()
+        CorpusStore(root).save(self.doc())
+        assert CorpusStore(root).ids() == ["cs_0101001"]
+
     def test_quarantine_moves_aside(self, tmp_path):
         store = CorpusStore(tmp_path)
         store.save(self.doc("cs/9"))
