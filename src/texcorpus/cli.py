@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
@@ -51,24 +53,64 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
+def _cannot_write(path: str | Path, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 class NdjsonWriter:
-    """Newline-delimited JSON with a schema record on the first line."""
+    """Newline-delimited JSON with a schema record on the first line.
+
+    The file is written whole or not at all. Records go to a temporary
+    file beside the target; leaving the ``with`` block moves it onto the
+    target, or deletes it when the block raised, so the target is never
+    left truncated. A target that exists but is not a regular file, such
+    as ``/dev/null``, cannot be replaced and is written in place. A target
+    that cannot be written is a usage error naming it.
+    """
 
     def __init__(self, path: str | Path, schema_name: str):
-        self._handle = open(path, "w", encoding="utf-8", newline="\n")
+        target = Path(path).resolve()
+        if target.is_dir():
+            raise UsageError(f"cannot write {path}: Is a directory")
+        if target.exists() and not target.is_file():
+            self._target = None
+            written = target
+        else:
+            self._target = target
+            written = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            self._handle = open(written, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
         self.write({"record": "schema", "name": schema_name, "version": 1})
 
     def write(self, obj: dict) -> None:
         self._handle.write(_dump(obj) + "\n")
 
     def close(self) -> None:
+        """Finish the file: move what was written onto the target."""
+        try:
+            self._handle.close()
+            if self._target is not None:
+                os.replace(self._handle.name, self._target)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self) -> None:
+        """Drop what was written; the target is left as it was."""
         self._handle.close()
+        if self._target is not None:
+            Path(self._handle.name).unlink(missing_ok=True)
 
     def __enter__(self) -> "NdjsonWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._discard()
 
 
 def _json_object(line: str, where: str) -> dict:
@@ -240,44 +282,46 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise UsageError(f"no documents under {args.corpus}")
     root = str(corpus)
 
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # Writers first, so an unwritable output fails before any extraction;
+    # then each result is written as it arrives, in input order.
+    with ExitStack() as stack:
+        features_out = stack.enter_context(NdjsonWriter(args.out, FEATURES_SCHEMA))
+        comments_out = words_out = None
+        if args.comments:
+            comments_out = stack.enter_context(
+                NdjsonWriter(args.comments, COMMENTS_SCHEMA)
+            )
+        if args.words:
+            words_out = stack.enter_context(NdjsonWriter(args.words, WORDS_SCHEMA))
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_extract_one, [root] * len(ids), ids))
-    else:
-        results = [_extract_one(root, doc_id) for doc_id in ids]
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-    failures = 0
-    with NdjsonWriter(args.out, FEATURES_SCHEMA) as features_out:
-        comments_out = (
-            NdjsonWriter(args.comments, COMMENTS_SCHEMA) if args.comments else None
-        )
-        words_out = NdjsonWriter(args.words, WORDS_SCHEMA) if args.words else None
-        try:
-            for result in results:
-                if "error" in result:
-                    failures += 1
-                    print(
-                        f"[extract] {result['id']}: {result['error']}",
-                        file=sys.stderr,
-                    )
-                    continue
-                features_out.write(result["features"])
-                if comments_out is not None:
-                    for record in result["comments"]:
-                        comments_out.write(record)
-                if words_out is not None:
-                    words_out.write(result["words"])
-                for line in result["diagnostics"]:
-                    print(f"[extract] {result['id']}: {line}", file=sys.stderr)
-        finally:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            # about four chunks a worker: few round trips, balanced ends
+            chunksize = max(1, len(ids) // (4 * args.jobs))
+            results = pool.map(
+                _extract_one, [root] * len(ids), ids, chunksize=chunksize
+            )
+        else:
+            results = (_extract_one(root, doc_id) for doc_id in ids)
+
+        failures = 0
+        for result in results:
+            if "error" in result:
+                failures += 1
+                print(f"[extract] {result['id']}: {result['error']}", file=sys.stderr)
+                continue
+            features_out.write(result["features"])
             if comments_out is not None:
-                comments_out.close()
+                for record in result["comments"]:
+                    comments_out.write(record)
             if words_out is not None:
-                words_out.close()
-    if failures == len(ids):
-        raise UsageError("every document failed to extract")
+                words_out.write(result["words"])
+            for line in result["diagnostics"]:
+                print(f"[extract] {result['id']}: {line}", file=sys.stderr)
+        if failures == len(ids):
+            raise UsageError("every document failed to extract")
     return 0
 
 
@@ -295,7 +339,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     _stderr_diagnostics(diagnostics)
 
     if args.format == "csv":
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _cannot_write(args.out, exc) from exc
+        with handle:
             handle.write(f"#schema={STATS_SCHEMA}.v1\n")
             writer = csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n")
             writer.writerow(_SUMMARY_SCALARS)
@@ -527,7 +575,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     model = classify_mod.train_classifier(train_set, args.positive, config)
     _stderr_diagnostics(model.diagnostics)
     report = classify_mod.evaluate(model, test_set)
-    classify_mod.save_model(model, args.model)
+    try:
+        classify_mod.save_model(model, args.model)
+    except OSError as exc:
+        raise _cannot_write(args.model, exc) from exc
 
     with NdjsonWriter(args.report, CLASSIFY_SCHEMA) as out:
         out.write(
@@ -611,6 +662,28 @@ def cmd_harvest(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+def _checked(convert, accept, requirement: str):
+    """An argparse ``type=`` that converts, then rejects values not accepted."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer of at least 0")
+_open_fraction = _checked(
+    float, lambda v: 0 < v < 1, "a number strictly between 0 and 1"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="texcorpus",
@@ -633,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--comments", default=None)
     p.add_argument("--words", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("stats", help="per-category corpus summaries")
@@ -651,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--between", choices=("categories", "regions"), default="categories")
     p.add_argument("--words", default=None)
     p.add_argument("--categories", default=None)
-    p.add_argument("-k", type=int, default=10)
+    p.add_argument("-k", type=_non_negative_int, default=10)
     p.add_argument("--keep-stopwords", action="store_true")
     p.add_argument("--min-length", type=int, default=3)
     p.set_defaults(func=cmd_discriminate)
@@ -671,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positive", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--test-fraction", type=float, default=0.25)
+    p.add_argument("--test-fraction", type=_open_fraction, default=0.25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--l2", type=float, default=1e-3)

@@ -421,7 +421,12 @@ def collect_words(
             lo, hi = ranges[ri]
             if tok.start >= lo and tok.end <= hi:
                 continue
-        words.extend(alphabetic_words(tok.value))
+        value = tok.value
+        # A string of letters only is exactly one alphabetic_words match.
+        if value.isalpha():
+            words.append(value.casefold())
+        else:
+            words.extend(alphabetic_words(value))
     return words
 
 

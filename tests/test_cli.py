@@ -2,10 +2,12 @@
 
 import csv
 import json
+import os
 from datetime import date
 
 import pytest
 
+from texcorpus import cli
 from texcorpus.cli import (
     CLASSIFY_SCHEMA,
     FEATURES_SCHEMA,
@@ -76,6 +78,24 @@ def corpus(tmp_path):
     return tmp_path
 
 
+@pytest.fixture()
+def corpus40(tmp_path):
+    """Forty documents: enough for chunks larger than one at --jobs 2 and 3."""
+    store = CorpusStore(tmp_path / "corpus")
+    for i in range(40):
+        _, category, stamp, pages, body = DOCS[i % len(DOCS)]
+        store.save(
+            SourceDocument(
+                id=f"doc/{i:04d}",
+                files=[("main.tex", body + f"% note {i}\nWord{i} here\n".encode())],
+                category=category,
+                timestamp=stamp,
+                page_count=pages,
+            )
+        )
+    return tmp_path
+
+
 def run_extract(root, jobs=1):
     out = root / "features.ndjson"
     comments = root / "comments.ndjson"
@@ -125,13 +145,64 @@ class TestExtract:
             fv = parse_feature_record(record)
             assert feature_record(fv) == record
 
-    def test_parallel_matches_serial(self, corpus, tmp_path):
-        out1, comments1, words1 = run_extract(corpus, jobs=1)
-        serial = (out1.read_bytes(), comments1.read_bytes(), words1.read_bytes())
-        for path in (out1, comments1, words1):
-            path.unlink()
-        out2, comments2, words2 = run_extract(corpus, jobs=2)
-        assert (out2.read_bytes(), comments2.read_bytes(), words2.read_bytes()) == serial
+    def test_parallel_matches_serial(self, corpus40):
+        # 40 documents make chunks of 5 at --jobs 2 and of 3 at --jobs 3
+        outputs = run_extract(corpus40, jobs=1)
+        serial = tuple(path.read_bytes() for path in outputs)
+        assert len(read_ndjson(outputs[0], FEATURES_SCHEMA)) == 40
+        for jobs in (2, 3):
+            for path in outputs:
+                path.unlink()
+            outputs = run_extract(corpus40, jobs=jobs)
+            assert tuple(path.read_bytes() for path in outputs) == serial
+
+    @pytest.mark.parametrize("flag", ["--out", "--comments", "--words"])
+    def test_unwritable_output_fails_before_extracting(
+        self, corpus, monkeypatch, capsys, flag
+    ):
+        calls = []
+        monkeypatch.setattr(
+            cli, "extract_document", lambda doc: calls.append(doc.id)
+        )
+        paths = {
+            name: str(corpus / f"{name[2:]}.ndjson")
+            for name in ("--out", "--comments", "--words")
+        }
+        paths[flag] = str(corpus / "no" / "dir" / "x.ndjson")
+        argv = ["extract", "--corpus", str(corpus / "corpus")]
+        for name, path in paths.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        assert calls == []
+        assert f"cannot write {paths[flag]}" in capsys.readouterr().err
+        assert sorted(os.listdir(corpus)) == ["corpus"]
+
+    def test_crash_leaves_outputs_as_they_were(self, corpus40, monkeypatch):
+        real = cli.extract_document
+        calls = []
+
+        def third_one_breaks(doc):
+            calls.append(doc.id)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return real(doc)
+
+        monkeypatch.setattr(cli, "extract_document", third_one_breaks)
+        out = corpus40 / "features.ndjson"
+        out.write_bytes(b"earlier run\n")
+        code = main(
+            [
+                "extract",
+                "--corpus", str(corpus40 / "corpus"),
+                "--out", str(out),
+                "--comments", str(corpus40 / "comments.ndjson"),
+                "--words", str(corpus40 / "words.ndjson"),
+            ]
+        )
+        assert code == 1
+        assert len(calls) == 3
+        assert out.read_bytes() == b"earlier run\n"
+        assert sorted(os.listdir(corpus40)) == ["corpus", "features.ndjson"]
 
     def test_empty_corpus_is_usage_error(self, tmp_path):
         (tmp_path / "corpus").mkdir()
@@ -202,6 +273,48 @@ class TestStats:
         rows = list(csv.reader(lines))
         assert rows[0][0] == "category"
         assert [row[0] for row in rows[1:]] == ["cs.AI", "math.CO"]
+
+    @pytest.mark.parametrize("form", ["ndjson", "csv"])
+    def test_output_in_missing_directory_is_usage_error(self, corpus, capsys, form):
+        out, _, _ = run_extract(corpus)
+        target = corpus / "no" / "dir" / "s.out"
+        code = main(
+            ["stats", "--features", str(out), "--out", str(target), "--format", form]
+        )
+        assert code == 2
+        assert f"cannot write {target}: " in capsys.readouterr().err
+
+    def test_output_that_is_a_directory_is_usage_error(self, corpus, capsys):
+        out, _, _ = run_extract(corpus)
+        code = main(["stats", "--features", str(out), "--out", str(corpus)])
+        assert code == 2
+        assert f"cannot write {corpus}: Is a directory" in capsys.readouterr().err
+
+    def test_symlinked_output_writes_the_file_it_names(self, corpus):
+        out, _, _ = run_extract(corpus)
+        real = corpus / "real.ndjson"
+        real.write_text("old\n")
+        link = corpus / "link.ndjson"
+        link.symlink_to(real)
+        assert main(["stats", "--features", str(out), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert read_ndjson(real, "texcorpus.stats")
+
+    def test_output_to_a_pipe_is_written_in_place(self, corpus):
+        out, _, _ = run_extract(corpus)
+        fifo = corpus / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["stats", "--features", str(out), "--out", str(fifo)]) == 0
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo()
+        assert received.startswith(b'{"record":"schema","name":"texcorpus.stats"')
+        assert sorted(os.listdir(corpus)) == sorted(
+            ["corpus", "pipe", "features.ndjson", "comments.ndjson", "words.ndjson"]
+        )
 
     def test_wrong_schema_rejected(self, corpus):
         bogus = corpus / "bogus.ndjson"
@@ -285,6 +398,21 @@ class TestDiscriminate:
             ]
         )
         assert code == 2
+
+    def test_negative_k_is_usage_error(self, corpus, capsys):
+        out, _, _ = run_extract(corpus)
+        code = main(
+            [
+                "discriminate",
+                "--features", str(out),
+                "--out", str(corpus / "d"),
+                "--basis", "packages",
+                "-k", "-1",
+            ]
+        )
+        assert code == 2
+        assert "'-1' is not an integer of at least 0" in capsys.readouterr().err
+        assert not (corpus / "d").exists()
 
 
 class TestTrends:
@@ -374,6 +502,39 @@ class TestClassify:
         )
         assert code == 2
 
+    def test_test_fraction_outside_zero_one_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "classify",
+                "--features", str(tmp_path / "f"),
+                "--positive", "cs",
+                "--model", str(tmp_path / "m"),
+                "--report", str(tmp_path / "r"),
+                "--test-fraction", "1.5",
+            ]
+        )
+        assert code == 2
+        assert "'1.5' is not a number strictly between 0 and 1" in (
+            capsys.readouterr().err
+        )
+
+    def test_model_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        features = tmp_path / "features.ndjson"
+        self.write_features(features, two_class_corpus(40, seed=2))
+        model = tmp_path / "no" / "dir" / "model.json"
+        code = main(
+            [
+                "classify",
+                "--features", str(features),
+                "--positive", "cs",
+                "--model", str(model),
+                "--report", str(tmp_path / "r"),
+                "--max-epochs", "50",
+            ]
+        )
+        assert code == 2
+        assert f"cannot write {model}: " in capsys.readouterr().err
+
 
 class TestHarvestCommand:
     def test_bad_category_is_usage_error(self, tmp_path, capsys):
@@ -408,6 +569,19 @@ class TestWiring:
 
     def test_unknown_flag_exits_2(self):
         assert main(["stats", "--bogus"]) == 2
+
+    def test_zero_jobs_is_usage_error(self, corpus, capsys):
+        code = main(
+            [
+                "extract",
+                "--corpus", str(corpus / "corpus"),
+                "--out", str(corpus / "f"),
+                "--jobs", "0",
+            ]
+        )
+        assert code == 2
+        assert "'0' is not an integer of at least 1" in capsys.readouterr().err
+        assert not (corpus / "f").exists()
 
     def test_missing_file_is_usage_error(self, tmp_path):
         code = main(

@@ -4,6 +4,8 @@ word counting and the assembled feature vector."""
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden_docs
 from texcorpus import features, lexer
@@ -20,7 +22,15 @@ from texcorpus.features import (
     extract_theorems,
     inline_sources,
 )
-from texcorpus.lexer import NoMainFile, SourceDocument, group_closers, tokenize
+from texcorpus.lexer import (
+    COMMAND,
+    WORD,
+    NoMainFile,
+    SourceDocument,
+    alphabetic_words,
+    group_closers,
+    tokenize,
+)
 
 
 class TestInlining:
@@ -306,6 +316,49 @@ class TestWords:
     def test_digits_split_words(self):
         tokens = tokenize("utf8x b2b")
         assert collect_words(tokens) == ["utf", "x", "b", "b"]
+
+    @staticmethod
+    def reference_collect_words(tokens, exclude_spans=None):
+        """collect_words as one alphabetic_words call per token."""
+        ranges = exclude_spans or []
+        words = []
+        ri = 0
+        for tok in tokens:
+            if tok.kind not in (COMMAND, WORD):
+                continue
+            while ri < len(ranges) and ranges[ri][1] <= tok.start:
+                ri += 1
+            if ri < len(ranges):
+                lo, hi = ranges[ri]
+                if tok.start >= lo and tok.end <= hi:
+                    continue
+            words.extend(alphabetic_words(tok.value))
+        return words
+
+    # ASCII and other letters, ASCII, Arabic-Indic and superscript digits,
+    # a combining acute (not a letter), letters whose case folding changes
+    # their length, and \commands with letter and non-letter names.
+    WORDY = st.lists(
+        st.sampled_from(
+            ["a", "Zq", "ö", "жи", "1", "٣", "²", "_", "'", "é",
+             "ß", "İ", "ﬁ", "\\", "\\alpha", "\\é", "\\1", " ", "\n", "%",
+             "{", "}"]
+        ),
+        max_size=40,
+    ).map("".join)
+
+    @settings(max_examples=500, deadline=None)
+    @given(WORDY, st.data())
+    def test_matches_per_token_reference(self, text, data):
+        tokens = tokenize(text)
+        assert collect_words(tokens) == self.reference_collect_words(tokens)
+        bounds = data.draw(
+            st.lists(st.integers(0, len(text)), unique=True, max_size=6).map(sorted)
+        )
+        spans = list(zip(bounds[::2], bounds[1::2]))
+        assert collect_words(tokens, spans) == self.reference_collect_words(
+            tokens, spans
+        )
 
     def test_newcommand_counting(self):
         tokens = tokenize(
