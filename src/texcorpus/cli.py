@@ -270,6 +270,22 @@ def _extract_one(root: str, doc_id: str) -> dict:
     }
 
 
+def _distinct_outputs(*paths: str | None) -> None:
+    """Refuse two outputs that resolve to one regular file. A target that
+    exists but is not a regular file, such as ``/dev/null``, is written in
+    place and may be given more than once."""
+    seen: set[Path] = set()
+    for path in paths:
+        if not path:
+            continue
+        target = Path(path).resolve()
+        if target.exists() and not target.is_file():
+            continue
+        if target in seen:
+            raise UsageError(f"{path} is given for two outputs")
+        seen.add(target)
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     from .harvest import CorpusStore
 
@@ -281,6 +297,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not ids:
         raise UsageError(f"no documents under {args.corpus}")
     root = str(corpus)
+    _distinct_outputs(args.out, args.comments, args.words)
 
     # Writers first, so an unwritable output fails before any extraction;
     # then each result is written as it arrives, in input order.
@@ -572,15 +589,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
         l2=args.l2,
         max_epochs=args.max_epochs,
     )
-    model = classify_mod.train_classifier(train_set, args.positive, config)
-    _stderr_diagnostics(model.diagnostics)
-    report = classify_mod.evaluate(model, test_set)
-    try:
-        classify_mod.save_model(model, args.model)
-    except OSError as exc:
-        raise _cannot_write(args.model, exc) from exc
-
+    # The report first, so an unwritable one fails before training and
+    # before the model is saved.
+    _distinct_outputs(args.model, args.report)
     with NdjsonWriter(args.report, CLASSIFY_SCHEMA) as out:
+        model = classify_mod.train_classifier(train_set, args.positive, config)
+        _stderr_diagnostics(model.diagnostics)
+        report = classify_mod.evaluate(model, test_set)
+        try:
+            classify_mod.save_model(model, args.model)
+        except OSError as exc:
+            raise _cannot_write(args.model, exc) from exc
+
         out.write(
             {
                 "record": "classification",

@@ -258,9 +258,10 @@ def detect_ignore_macros(tokens: TokenStream) -> set[str]:
     ignore: set[str] = set()
     defined: set[str] = set()
     resume = 0  # index just past the last definition parsed
-    for i, tok in enumerate(tokens):
-        if tok.kind is not COMMAND or i < resume:
+    for i in tokens.command_positions(("newcommand", "renewcommand", "def")):
+        if i < resume:
             continue
+        tok = tokens[i]
         if tok.value in ("newcommand", "renewcommand"):
             name, empty, nxt = _parse_newcommand(tokens, i + 1)
             if name is not None:
@@ -276,7 +277,7 @@ def detect_ignore_macros(tokens: TokenStream) -> set[str]:
                     else:
                         ignore.discard(name)
                 resume = nxt
-        elif tok.value == "def":
+        else:
             name, empty, nxt = _parse_def(tokens, i + 1)
             if name is not None:
                 defined.add(name)
@@ -377,9 +378,10 @@ def extract_macro_comments(
     spans: list[CommentSpan] = []
     n = len(tokens)
     resume = 0  # index just past the last invocation extracted
-    for i, tok in enumerate(tokens):
-        if tok.kind is not COMMAND or tok.value not in ignore_macros or i < resume:
+    for i in tokens.command_positions(ignore_macros):
+        if i < resume:
             continue
+        tok = tokens[i]
         open_idx = _next_significant(tokens, i + 1)
         if not (open_idx < n and tokens[open_idx].kind is GROUP_OPEN):
             continue

@@ -36,6 +36,7 @@ from .lexer import (
     _next_significant,
     alphabetic_words,
     detect_main_file,
+    scan_commands,
     tokenize,
 )
 
@@ -71,8 +72,10 @@ def inline_sources(
     dropped with a diagnostic. References to files not in the document are
     kept verbatim, also with a diagnostic. \\input inside comments or
     verbatim text is never expanded, since it does not tokenize as a
-    command there. A file whose text does not contain ``\\input`` or
-    ``\\include`` is returned as it is, without tokenizing it.
+    command there. Files are not tokenized: ``scan_commands`` finds the
+    commands exactly where ``tokenize`` would, without building tokens. A
+    file whose text does not contain ``\\input`` or ``\\include`` is
+    returned as it is, without scanning it.
     """
     visited: set[str] = set()
 
@@ -83,29 +86,27 @@ def inline_sources(
             return source
         parts: list[str] = []
         last = 0
-        for tok in tokenize(source):
-            if tok.kind is not COMMAND or tok.value not in ("input", "include"):
+        for command, start, end in scan_commands(source, ("input", "include")):
+            if start < last:
                 continue
-            if tok.start < last:
-                continue
-            m = _BRACED_ARG_RE.match(source, tok.end)
-            if m is None and tok.value == "input":
-                m = _BARE_ARG_RE.match(source, tok.end)
+            m = _BRACED_ARG_RE.match(source, end)
+            if m is None and command == "input":
+                m = _BARE_ARG_RE.match(source, end)
             if m is None:
                 continue
             name = m.group(1).strip()
             if not name:
                 continue
             target = _resolve_target(name, path, texts)
-            parts.append(source[last : tok.start])
+            parts.append(source[last:start])
             last = m.end()
             if target is None:
-                parts.append(source[tok.start : m.end()])
+                parts.append(source[start : m.end()])
                 if diagnostics is not None:
                     diagnostics.append(
                         Diagnostic(
                             "inline",
-                            f"\\{tok.value} target {name!r} not found in "
+                            f"\\{command} target {name!r} not found in "
                             f"{path}; kept as-is",
                         )
                     )
@@ -114,7 +115,7 @@ def inline_sources(
                     diagnostics.append(
                         Diagnostic(
                             "inline",
-                            f"\\{tok.value} of {target!r} in {path} skipped: "
+                            f"\\{command} of {target!r} in {path} skipped: "
                             "already inlined",
                         )
                     )
@@ -161,9 +162,8 @@ def extract_packages(source: str, tokens: TokenStream) -> list[PackageUse]:
     each carrying the shared option list.
     """
     uses: list[PackageUse] = []
-    for i, tok in enumerate(tokens):
-        if tok.kind is not COMMAND or tok.value not in ("usepackage", "RequirePackage"):
-            continue
+    for i in tokens.command_positions(("usepackage", "RequirePackage")):
+        declared_at = tokens[i].start
         idx = i + 1
         options: tuple[str, ...] = ()
         opt = _read_group(source, tokens, idx, OPT_OPEN)
@@ -180,7 +180,7 @@ def extract_packages(source: str, tokens: TokenStream) -> list[PackageUse]:
             name = name.strip()
             if name:
                 uses.append(
-                    PackageUse(name=name, options=options, declared_at=tok.start)
+                    PackageUse(name=name, options=options, declared_at=declared_at)
                 )
     return uses
 
@@ -195,22 +195,14 @@ class GraphicsUse:
     epsfig_command_count: int
 
 
-def analyze_graphics(tokens: list[Token], packages: list[PackageUse]) -> GraphicsUse:
+def analyze_graphics(tokens: TokenStream, packages: list[PackageUse]) -> GraphicsUse:
     declared = {p.name for p in packages}
-    includegraphics = 0
-    epsfig_cmd = 0
-    for tok in tokens:
-        if tok.kind is not COMMAND:
-            continue
-        if tok.value == "includegraphics":
-            includegraphics += 1
-        elif tok.value == "epsfig":
-            epsfig_cmd += 1
+    commands = tokens.commands
     return GraphicsUse(
         graphicx_declared="graphicx" in declared,
         epsfig_declared="epsfig" in declared,
-        includegraphics_count=includegraphics,
-        epsfig_command_count=epsfig_cmd,
+        includegraphics_count=len(commands.get("includegraphics", ())),
+        epsfig_command_count=len(commands.get("epsfig", ())),
     )
 
 
@@ -237,8 +229,8 @@ def extract_theorems(source: str, tokens: TokenStream) -> TheoremCounts:
     bound: dict[str, str] = {}
     n = len(tokens)
     resume = 0  # index just past the last declaration read
-    for i, tok in enumerate(tokens):
-        if tok.kind is not COMMAND or tok.value != "newtheorem" or i < resume:
+    for i in tokens.commands.get("newtheorem", ()):
+        if i < resume:
             continue
         idx = i + 1
         nxt = _next_significant(tokens, idx)
@@ -261,8 +253,8 @@ def extract_theorems(source: str, tokens: TokenStream) -> TheoremCounts:
     theorem = 0
     theorem_like = 0
     resume = 0  # index just past the last environment name read
-    for i, tok in enumerate(tokens):
-        if tok.kind is not COMMAND or tok.value != "begin" or i < resume:
+    for i in tokens.commands.get("begin", ()):
+        if i < resume:
             continue
         group = _read_group(source, tokens, i + 1)
         if group is not None:
@@ -283,23 +275,16 @@ def extract_theorems(source: str, tokens: TokenStream) -> TheoremCounts:
 def count_figures(source: str, tokens: TokenStream) -> int:
     """Number of figure/figure* environments."""
     count = 0
-    for i, tok in enumerate(tokens):
-        if tok.kind is not COMMAND or tok.value != "begin":
-            continue
+    for i in tokens.commands.get("begin", ()):
         group = _read_group(source, tokens, i + 1)
         if group is not None and group[0].strip() in ("figure", "figure*"):
             count += 1
     return count
 
 
-def count_newcommands(tokens: list[Token]) -> int:
+def count_newcommands(tokens: TokenStream) -> int:
     """Number of \\newcommand and \\renewcommand definitions."""
-    return sum(
-        1
-        for tok in tokens
-        if tok.kind is COMMAND
-        and tok.value in ("newcommand", "renewcommand")
-    )
+    return len(tokens.command_positions(("newcommand", "renewcommand")))
 
 
 @dataclass(frozen=True)
@@ -362,16 +347,10 @@ def extract_authors(source: str, tokens: TokenStream) -> AuthorInfo:
     (the affiliation-package convention). A single block is split on \\and
     and on line breaks.
     """
-    maketitle_at: int | None = None
-    for i, tok in enumerate(tokens):
-        if tok.kind is COMMAND and tok.value == "maketitle":
-            maketitle_at = i
-            break
+    maketitle_at = tokens.commands.get("maketitle", [None])[0]
 
     blocks: list[int] = []  # token index of each block's opening brace
-    for i, tok in enumerate(tokens):
-        if tok.kind is not COMMAND or tok.value != "author":
-            continue
+    for i in tokens.commands.get("author", ()):
         if maketitle_at is not None and i > maketitle_at:
             break
         idx = i + 1

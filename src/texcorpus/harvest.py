@@ -546,9 +546,10 @@ class CorpusStore:
     """File-based document store: one directory per paper.
 
     Layout: <root>/<safe id>/meta.json plus the source files under
-    files/. The metadata file is written last, so its presence marks a
-    complete save; saving an already-present id is a no-op. Only saving
-    creates directories: reading a store that does not exist finds no ids.
+    files/. The metadata file is written last, to a temporary file moved
+    into place, so its presence marks a complete save; saving an
+    already-present id is a no-op. Only saving creates directories:
+    reading a store that does not exist finds no ids.
     """
 
     def __init__(self, root: str | Path):
@@ -583,9 +584,11 @@ class CorpusStore:
             "main_file": doc.main_file,
             "files": paths,
         }
-        (directory / "meta.json").write_text(
+        partial = directory / "meta.json.tmp"
+        partial.write_text(
             json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
+        os.replace(partial, directory / "meta.json")
         return True
 
     def load(self, doc_id: str) -> SourceDocument:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import posixpath
 import re
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -200,43 +201,104 @@ def tokenize(source: str | bytes) -> TokenStream:
     return TokenStream(tokens)
 
 
-def _lex_verb(text: str, i: int, tokens: list[Token]) -> int:
-    """Lex the tail of a \\verb command starting right after its name."""
+def _verb_extent(text: str, i: int) -> tuple[int, int, int]:
+    """Where the tail of a \\verb command, starting right after its name,
+    lies.
+
+    Returns (delim, stop, end): the index of the opening delimiter, past an
+    optional ``*``; where the verbatim text stops; and the index just past
+    the command. There is no argument when delim == end (end of input or a
+    newline), and no closing delimiter when stop == end.
+    """
     n = len(text)
     if i < n and text[i] == "*":
-        tokens.append(Token(OTHER, "*", i, i + 1))
         i += 1
-    if i >= n:
-        return i
+    if i >= n or text[i] == "\n":
+        return i, i, i
     delim = text[i]
-    if delim == "\n":
-        return i
-    tokens.append(Token(OTHER, delim, i, i + 1))
-    i += 1
-    j = i
+    j = i + 1
     while j < n and text[j] != delim and text[j] != "\n":
         j += 1
-    _emit_plain_runs(text, i, j, tokens)
-    if j < n and text[j] == delim:
-        tokens.append(Token(OTHER, delim, j, j + 1))
-        j += 1
-    return j
+    return i, j, j + 1 if j < n and text[j] == delim else j
+
+
+def _lex_verb(text: str, i: int, tokens: list[Token]) -> int:
+    """Lex the tail of a \\verb command starting right after its name."""
+    delim, stop, end = _verb_extent(text, i)
+    if delim > i:
+        tokens.append(Token(OTHER, "*", i, delim))
+    if delim == end:
+        return end
+    tokens.append(Token(OTHER, text[delim], delim, delim + 1))
+    _emit_plain_runs(text, delim + 1, stop, tokens)
+    if end > stop:
+        tokens.append(Token(OTHER, text[stop], stop, end))
+    return end
+
+
+# a command (letters, one other character, or a lone trailing backslash)
+# or a comment up to, not including, its newline
+_SCAN_RE = re.compile(r"\\([A-Za-z]+|.)?|%[^\n]*", re.S)
+
+
+def scan_commands(text: str, names: Collection[str]) -> Iterator[tuple[str, int, int]]:
+    """(name, start, end) of each COMMAND token of ``tokenize(text)`` named
+    in ``names``, in order, without building any Token.
+
+    One regex search jumps from each backslash or ``%`` to the next:
+    comments are skipped to their newline, escapes such as ``\\\\`` and
+    ``\\%`` are stepped over, and \\verb arguments and verbatim bodies are
+    skipped by the tokenizer's own rules.
+    """
+    search = _SCAN_RE.search
+    i = 0
+    while (m := search(text, i)) is not None:
+        name = m.group(1)
+        i = m.end()
+        if name is None:
+            continue
+        if name in names:
+            yield name, m.start(), i
+        if name == "verb":
+            i = _verb_extent(text, i)[2]
+        elif name == "begin":
+            begin = _BEGIN_VERBATIM_RE.match(text, i)
+            if begin is not None:
+                i = text.find("\\end{" + begin.group(1) + "}", begin.end())
+                if i == -1:
+                    return
 
 
 class TokenStream(list):
-    """The tokens of one source, in order, with its brace table.
+    """The tokens of one source, in order, with its brace table and its
+    command index.
 
-    ``closers`` is ``group_closers`` of the stream, built on first use and
-    then kept, so every extractor that reads group extents shares one
-    table per document. The table describes the stream as tokenized:
-    treat the stream as immutable. Scan it with ``for``, not an index
-    loop: the interpreter's fast path for ``tokens[i]`` takes exact lists
-    only, so indexing the subclass costs about 50 % more per token.
+    ``closers`` is ``group_closers`` of the stream and ``commands`` maps
+    each command name to the positions of its COMMAND tokens, in order.
+    Both are built on first use and then kept, so the extractors share one
+    table and one index per document, and a reader of a few named commands
+    visits only those. They describe the stream as tokenized: treat the
+    stream as immutable. Scan it with ``for``, not an index loop: the
+    interpreter's fast path for ``tokens[i]`` takes exact lists only, so
+    indexing the subclass costs about 50 % more per token.
     """
 
     @cached_property
     def closers(self) -> list[int]:
         return group_closers(self)
+
+    @cached_property
+    def commands(self) -> dict[str, list[int]]:
+        index: dict[str, list[int]] = {}
+        for i, tok in enumerate(self):
+            if tok.kind is COMMAND:
+                index.setdefault(tok.value, []).append(i)
+        return index
+
+    def command_positions(self, names: Iterable[str]) -> list[int]:
+        """Positions of the COMMAND tokens named in ``names``, in order."""
+        index = self.commands
+        return sorted(i for name in names for i in index.get(name, ()))
 
 
 def group_closers(tokens: list[Token]) -> list[int]:

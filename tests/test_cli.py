@@ -177,6 +177,35 @@ class TestExtract:
         assert f"cannot write {paths[flag]}" in capsys.readouterr().err
         assert sorted(os.listdir(corpus)) == ["corpus"]
 
+    @pytest.mark.parametrize("second", ["--comments", "--words"])
+    def test_two_outputs_on_one_file_fail_before_extracting(
+        self, corpus, monkeypatch, capsys, second
+    ):
+        calls = []
+        monkeypatch.setattr(
+            cli, "extract_document", lambda doc: calls.append(doc.id)
+        )
+        same = str(corpus / "same.ndjson")
+        alias = f"{corpus}/corpus/../same.ndjson"
+        argv = ["extract", "--corpus", str(corpus / "corpus"), "--out", same]
+        assert main(argv + [second, alias]) == 2
+        assert calls == []
+        assert f"{alias} is given for two outputs" in capsys.readouterr().err
+        assert sorted(os.listdir(corpus)) == ["corpus"]
+
+    def test_a_device_may_take_two_outputs(self, corpus):
+        code = main(
+            [
+                "extract",
+                "--corpus", str(corpus / "corpus"),
+                "--out", str(corpus / "features.ndjson"),
+                "--comments", os.devnull,
+                "--words", os.devnull,
+            ]
+        )
+        assert code == 0
+        assert len(read_ndjson(corpus / "features.ndjson", FEATURES_SCHEMA)) == 3
+
     def test_crash_leaves_outputs_as_they_were(self, corpus40, monkeypatch):
         real = cli.extract_document
         calls = []
@@ -534,6 +563,52 @@ class TestClassify:
         )
         assert code == 2
         assert f"cannot write {model}: " in capsys.readouterr().err
+
+    def test_report_in_missing_directory_fails_before_training(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from texcorpus import classify as classify_mod
+
+        features = tmp_path / "features.ndjson"
+        self.write_features(features, two_class_corpus(40, seed=2))
+        trained = []
+        monkeypatch.setattr(
+            classify_mod, "train_classifier", lambda *args: trained.append(args)
+        )
+        model = tmp_path / "model.json"
+        report = tmp_path / "no" / "dir" / "r.ndjson"
+        code = main(
+            [
+                "classify",
+                "--features", str(features),
+                "--positive", "cs",
+                "--model", str(model),
+                "--report", str(report),
+                "--max-epochs", "50",
+            ]
+        )
+        assert code == 2
+        assert f"cannot write {report}: " in capsys.readouterr().err
+        assert trained == []
+        assert sorted(os.listdir(tmp_path)) == ["features.ndjson"]
+
+    def test_model_and_report_on_one_file_is_usage_error(self, tmp_path, capsys):
+        features = tmp_path / "features.ndjson"
+        self.write_features(features, two_class_corpus(40, seed=2))
+        same = str(tmp_path / "same.json")
+        code = main(
+            [
+                "classify",
+                "--features", str(features),
+                "--positive", "cs",
+                "--model", same,
+                "--report", same,
+                "--max-epochs", "50",
+            ]
+        )
+        assert code == 2
+        assert f"{same} is given for two outputs" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["features.ndjson"]
 
 
 class TestHarvestCommand:

@@ -494,6 +494,57 @@ class TestBraceTable:
         assert len(builds) == 1
 
 
+GOLDEN_IDS = [d["id"] for d in golden_docs.DOCS]
+
+
+def golden_document(doc_id):
+    labels = next(d for d in golden_docs.DOCS if d["id"] == doc_id)
+    return labels, SourceDocument(id=labels["id"], files=labels["files"])
+
+
+class TestOneTokenization:
+    @pytest.mark.parametrize("doc_id", GOLDEN_IDS)
+    def test_command_index_matches_a_filter_walk(self, doc_id):
+        labels, _ = golden_document(doc_id)
+        tokens = tokenize(golden_docs.assembled_text(labels))
+        walk = {}
+        for i, tok in enumerate(tokens):
+            if tok.kind is COMMAND:
+                walk.setdefault(tok.value, []).append(i)
+        assert tokens.commands == walk
+        names = set(sorted(walk)[::2]) | {"absent"}
+        assert tokens.command_positions(names) == [
+            i
+            for i, tok in enumerate(tokens)
+            if tok.kind is COMMAND and tok.value in names
+        ]
+
+    def test_one_tokenize_per_document_none_in_inlining(self, monkeypatch):
+        calls = []
+
+        def counting_tokenize(source):
+            calls.append(source)
+            return tokenize(source)
+
+        def no_token(*args):
+            raise AssertionError("inline_sources built a Token")
+
+        monkeypatch.setattr(lexer, "tokenize", counting_tokenize)
+        monkeypatch.setattr(features, "tokenize", counting_tokenize)
+        docs = [golden_document(doc_id)[1] for doc_id in GOLDEN_IDS]
+        multi = [doc for doc in docs if doc.multi_file]
+        assert multi
+        with monkeypatch.context() as patch:
+            patch.setattr(lexer, "Token", no_token)
+            for doc in multi:
+                inline_sources(doc.texts(), lexer.detect_main_file(doc.files))
+        assert calls == []
+
+        for doc in docs:
+            extract_document(doc)
+        assert len(calls) == len(docs)
+
+
 class TestLinearTime:
     """An unclosed group must not make extraction rescan to the end of input."""
 

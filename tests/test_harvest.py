@@ -5,6 +5,7 @@ import io
 import json
 import tarfile
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -444,6 +445,28 @@ class TestCorpusStore:
         store.quarantine("cs/9")
         assert store.ids() == []
         assert (tmp_path / "cs_9.quarantined").exists()
+
+    def test_failed_metadata_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        real_write_text = Path.write_text
+
+        def half_then_fail(path, text, *args, **kwargs):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        store = CorpusStore(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", half_then_fail)
+            with pytest.raises(OSError):
+                store.save(self.doc())
+        assert not store.contains("cs/0101001")
+        assert store.ids() == []
+
+        assert store.save(self.doc()) is True
+        assert store.load("cs/0101001").files == self.doc().files
+        assert sorted(p.name for p in (tmp_path / "cs_0101001").iterdir()) == [
+            "files",
+            "meta.json",
+        ]
 
 
 class TestHarvestIntoStore:

@@ -13,6 +13,7 @@ from texcorpus.lexer import (
     decode_source,
     detect_main_file,
     group_closers,
+    scan_commands,
     tokenize,
 )
 
@@ -210,6 +211,66 @@ class TestGroupClosers:
     def test_matches_rescan(self, source):
         tokens = tokenize(source)
         assert group_closers(tokens) == rescan_closers(tokens)
+
+
+# the pieces that decide whether a backslash starts \input: escapes,
+# comments, \verb and verbatim bodies, longer names, non-ASCII text
+SCANNABLE = st.lists(
+    st.sampled_from(
+        [
+            "\\input", "\\include", "\\inputx", "\\", "\\\\", "\\%", "%", "\n",
+            "\\verb", "\\verb*", "|", "\\begin", "{verbatim}", "{lstlisting}",
+            "\\end{verbatim}", "{", "}", "é", " ", "a",
+        ]
+    ),
+    max_size=40,
+).map("".join)
+
+INPUTS = ("input", "include")
+
+
+def filtered_commands(text, names):
+    return [
+        (t.value, t.start, t.end)
+        for t in tokenize(text)
+        if t.kind is TokenKind.COMMAND and t.value in names
+    ]
+
+
+class TestScanCommands:
+    @given(SCANNABLE)
+    @settings(max_examples=1000)
+    def test_matches_the_token_stream(self, text):
+        assert list(scan_commands(text, INPUTS)) == filtered_commands(text, INPUTS)
+
+    @given(LATEXISH, st.sets(st.sampled_from(["verb", "begin", "end", "%", "\\", "a"])))
+    @settings(max_examples=500)
+    def test_matches_the_token_stream_for_any_names(self, text, names):
+        assert list(scan_commands(text, names)) == filtered_commands(text, names)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\\\\input{a}",
+            "\\\\%\\input{a}",
+            "% \\input{a}",
+            "\\inputx{a}",
+            "\\verb|\\input{a}|",
+            "\\verb*+\\input+",
+            "\\begin{verbatim}\\input{a}\\end{verbatim}",
+            "\\begin {lstlisting}\\input{a}",
+        ],
+    )
+    def test_not_a_command_there(self, text):
+        assert list(scan_commands(text, INPUTS)) == []
+
+    def test_found_after_the_skipped_regions(self):
+        text = "%c\n\\verb|x|\\begin{verbatim*}v\\end{verbatim*}\\input{a}\\include{b}"
+        start = text.index("\\input")
+        assert list(scan_commands(text, INPUTS)) == [
+            ("input", start, start + 6),
+            ("include", start + 9, start + 17),
+        ]
 
 
 class TestToken:
