@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import re
+import reprlib
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
@@ -169,35 +170,77 @@ def _same(value):
     return value
 
 
+def _decoder(accept, requirement: str, convert=_same):
+    """A feature-record decode: reject a JSON value not accepted, else convert."""
+
+    def decode(value):
+        if not accept(value):
+            raise ValueError(f"{reprlib.repr(value)} is not {requirement}")
+        return convert(value)
+
+    return decode
+
+
+def _is_count(value) -> bool:
+    # A bool is an int to Python but not a count. Below 2**53 a count is
+    # exact as a float, and a mean of such counts cannot overflow one.
+    return type(value) is int and 0 <= value < 2**53
+
+
+# JSON escapes such as \ud800 decode to lone surrogates, which no UTF-8
+# output file can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str) and not _SURROGATE.search(value)
+
+
+_string = _decoder(_is_text, "a string of Unicode text")
+_flag = _decoder(lambda v: isinstance(v, bool), "true or false")
+_count = _decoder(_is_count, "an integer from 0 to 2**53 - 1")
+_pages = _decoder(
+    lambda v: v is None or (_is_count(v) and v >= 1),
+    "null or an integer from 1 to 2**53 - 1",
+)
+_timestamp = _decoder(
+    lambda v: v is None or isinstance(v, str),
+    "a date string or null",
+    lambda text: date.fromisoformat(text) if text else None,
+)
+_names = _decoder(
+    lambda v: isinstance(v, list) and all(map(_is_text, v)), "a list of strings", tuple
+)
+
 # One row per key of a feature record, in output order: (wire name,
 # FeatureVector attribute, encode, decode). A row whose decode is None is
 # derived from its attribute on writing and ignored on reading.
 FEATURE_WIRE = (
-    ("id", "doc_id", _same, _same),
-    ("category", "category", _same, _same),
+    ("id", "doc_id", _same, _string),
+    ("category", "category", _same, _string),
     (
         "timestamp",
         "timestamp",
         lambda stamp: stamp.isoformat() if stamp else None,
-        lambda text: date.fromisoformat(text) if text else None,
+        _timestamp,
     ),
-    ("multi_file", "multi_file", _same, bool),
-    ("words", "word_count", _same, int),
-    ("comment_words", "comment_word_count", _same, int),
-    ("pages", "page_count", _same, _same),
-    ("packages", "package_count", _same, int),
-    ("package_names", "package_names", list, tuple),
-    ("newcommands", "newcommand_count", _same, int),
-    ("theorems", "theorem_count", _same, int),
-    ("theorem_like", "theorem_like_count", _same, int),
-    ("figures", "figure_count", _same, int),
-    ("includegraphics", "includegraphics_count", _same, int),
-    ("epsfig_commands", "epsfig_command_count", _same, int),
-    ("authors", "author_count", _same, int),
-    ("author_block_found", "author_block_found", _same, bool),
-    ("graphicx_declared", "graphicx_declared", _same, bool),
+    ("multi_file", "multi_file", _same, _flag),
+    ("words", "word_count", _same, _count),
+    ("comment_words", "comment_word_count", _same, _count),
+    ("pages", "page_count", _same, _pages),
+    ("packages", "package_count", _same, _count),
+    ("package_names", "package_names", list, _names),
+    ("newcommands", "newcommand_count", _same, _count),
+    ("theorems", "theorem_count", _same, _count),
+    ("theorem_like", "theorem_like_count", _same, _count),
+    ("figures", "figure_count", _same, _count),
+    ("includegraphics", "includegraphics_count", _same, _count),
+    ("epsfig_commands", "epsfig_command_count", _same, _count),
+    ("authors", "author_count", _same, _count),
+    ("author_block_found", "author_block_found", _same, _flag),
+    ("graphicx_declared", "graphicx_declared", _same, _flag),
     ("graphicx_used", "includegraphics_count", lambda count: count > 0, None),
-    ("epsfig_declared", "epsfig_declared", _same, bool),
+    ("epsfig_declared", "epsfig_declared", _same, _flag),
     ("epsfig_used", "epsfig_command_count", lambda count: count > 0, None),
 )
 
@@ -208,16 +251,18 @@ def feature_record(fv: FeatureVector) -> dict:
 
 
 def parse_feature_record(record: dict) -> FeatureVector:
-    try:
-        return FeatureVector(
-            **{
-                attr: decode(record[wire])
-                for wire, attr, _, decode in FEATURE_WIRE
-                if decode is not None
-            }
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad feature record for {record.get('id')!r}: {exc}")
+    """A feature vector from a plain record, checking each value's JSON type."""
+    values = {}
+    for wire, attr, _, decode in FEATURE_WIRE:
+        if decode is None:
+            continue
+        if wire not in record:
+            raise UsageError(f"feature record lacks {wire!r}")
+        try:
+            values[attr] = decode(record[wire])
+        except ValueError as exc:
+            raise UsageError(f"feature record {wire!r}: {exc}") from exc
+    return FeatureVector(**values)
 
 
 def read_features(path: str | Path) -> list[FeatureVector]:
@@ -648,8 +693,6 @@ def cmd_harvest(args: argparse.Namespace) -> int:
             raise UsageError(f"bad date: {exc}") from exc
         if to_date < from_date:
             raise UsageError("--to is before --from")
-    if args.max_records < 1:
-        raise UsageError("--max must be at least 1")
 
     from . import harvest as harvest_mod
 
@@ -702,6 +745,7 @@ _non_negative_int = _checked(int, lambda v: v >= 0, "an integer of at least 0")
 _open_fraction = _checked(
     float, lambda v: 0 < v < 1, "a number strictly between 0 and 1"
 )
+_delay = _checked(float, lambda v: 0 <= v <= 86400, "a number from 0 to 86400")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -713,12 +757,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harvest", help="download papers into a corpus store")
     p.add_argument("--category", required=True)
-    p.add_argument("--max", dest="max_records", type=int, required=True)
+    p.add_argument("--max", dest="max_records", type=_positive_int, required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--from", dest="from_date", default=None)
     p.add_argument("--to", dest="to_date", default=None)
-    p.add_argument("--page-size", type=int, default=100)
-    p.add_argument("--delay", type=float, default=None)
+    p.add_argument("--page-size", type=_positive_int, default=100)
+    p.add_argument("--delay", type=_delay, default=None)
     p.set_defaults(func=cmd_harvest)
 
     p = sub.add_parser("extract", help="extract features and comments")

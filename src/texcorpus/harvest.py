@@ -397,31 +397,18 @@ def classify_payload(content: bytes, content_type: str | None = None) -> FileTyp
     raise UnknownPayload(f"unrecognized payload starting {content[:8]!r}")
 
 
-_GUNZIP_CHUNK = 1 << 16
-
-
-def _gunzip_capped(payload: bytes, cap: int) -> bytes:
-    d = zlib.decompressobj(wbits=47)
-    chunks: list[bytes] = []
-    total = 0
-    pos = 0
-    while pos < len(payload) and not d.eof:
-        piece = payload[pos : pos + _GUNZIP_CHUNK]
-        pos += _GUNZIP_CHUNK
-        out = d.decompress(piece, cap - total + 1)
-        total += len(out)
-        if total > cap:
-            raise SizeCapExceeded(f"decompressed size exceeds cap of {cap} bytes")
-        chunks.append(out)
-        while d.unconsumed_tail and not d.eof:
-            out = d.decompress(d.unconsumed_tail, cap - total + 1)
-            total += len(out)
-            if total > cap:
-                raise SizeCapExceeded(
-                    f"decompressed size exceeds cap of {cap} bytes"
-                )
-            chunks.append(out)
-    return b"".join(chunks)
+def _gunzip_capped(payload: bytes, cap: int, doc_id: str) -> bytes:
+    """The first gzip or zlib stream in ``payload``, decompressed; bytes after
+    it are ignored. More than ``cap`` bytes out raise SizeCapExceeded."""
+    try:
+        out = zlib.decompressobj(wbits=47).decompress(payload, cap + 1)
+    except zlib.error as exc:
+        raise ArchiveCorrupt(f"{doc_id}: bad gzip stream: {exc}") from exc
+    if len(out) > cap:
+        raise SizeCapExceeded(
+            f"{doc_id}: decompressed size exceeds cap of {cap} bytes"
+        )
+    return out
 
 
 def _check_member_name(name: str) -> str:
@@ -491,10 +478,7 @@ def unpack(
     diagnostic, since mislabeled single-file submissions do occur.
     """
     if file_type is FileType.EPRINT_TAR:
-        try:
-            raw = _gunzip_capped(payload, size_cap)
-        except zlib.error as exc:
-            raise ArchiveCorrupt(f"{doc_id}: bad gzip stream: {exc}") from exc
+        raw = _gunzip_capped(payload, size_cap, doc_id)
         try:
             files = _unpack_tar(raw, doc_id, size_cap)
         except _NotATar as exc:
@@ -511,10 +495,7 @@ def unpack(
             files = [("main.tex", raw)]
     elif file_type is FileType.EPRINT:
         if payload.startswith(_GZIP_MAGIC):
-            try:
-                content = _gunzip_capped(payload, size_cap)
-            except zlib.error as exc:
-                raise ArchiveCorrupt(f"{doc_id}: bad gzip stream: {exc}") from exc
+            content = _gunzip_capped(payload, size_cap, doc_id)
         else:
             if len(payload) > size_cap:
                 raise SizeCapExceeded(

@@ -2,16 +2,16 @@
 scoring between corpora, per-category summaries and simple least-squares
 trend fits.
 
-Summaries are built through mergeable accumulators holding integer sums, so
-splitting a corpus into chunks, accumulating each and merging gives results
-identical to a single pass in any order.
+Each category's summary is read straight from its feature vectors. Every
+statistic divides one integer sum by another, so the order of the vectors
+does not change a result.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
@@ -67,29 +67,20 @@ class FrequencyTable:
     def frequency(self, item: str) -> float:
         return self.counts.get(item, 0) / self.total
 
-    def entries(self) -> list[tuple[str, int]]:
-        """(item, count) pairs, most frequent first, ties alphabetical."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
 
 def build_table(
-    words: Iterable[str],
-    filters: FilterSpec = DEFAULT_FILTERS,
-    stopwords: frozenset[str] | None = None,
+    words: Iterable[str], filters: FilterSpec = DEFAULT_FILTERS
 ) -> FrequencyTable:
     """Count filter-passing words into a frequency table.
 
     Raises EmptyCorpus when nothing passes, since frequencies would be
     undefined.
     """
-    if stopwords is None and filters.drop_stopwords:
-        stopwords = load_stopwords()
+    stopwords = load_stopwords() if filters.drop_stopwords else frozenset()
     counts: Counter[str] = Counter()
     total = 0
     for word in words:
-        if len(word) < filters.min_length:
-            continue
-        if filters.drop_stopwords and word in stopwords:
+        if len(word) < filters.min_length or word in stopwords:
             continue
         counts[word] += 1
         total += 1
@@ -150,113 +141,6 @@ def discriminative(
     return scored[:k]
 
 
-@dataclass
-class CategoryAccumulator:
-    """Mergeable integer sums behind a per-category summary."""
-
-    category: str
-    papers: int = 0
-    multi_file: int = 0
-    no_comments: int = 0
-    comment_words: int = 0
-    words: int = 0
-    with_packages: int = 0
-    packages: int = 0
-    with_newcommands: int = 0
-    newcommands: int = 0
-    with_theorems: int = 0
-    theorems: int = 0
-    figures: int = 0
-    authors: int = 0
-    with_pages: int = 0
-    pages: int = 0
-    graphicx_declared: int = 0
-    graphicx_unused: int = 0
-    epsfig_declared: int = 0
-    epsfig_unused: int = 0
-    page_histogram: Counter = field(default_factory=Counter)
-    monthly: Counter = field(default_factory=Counter)  # month index 0-11
-    yearly: Counter = field(default_factory=Counter)
-
-    def add(self, fv: FeatureVector) -> None:
-        self.papers += 1
-        self.multi_file += fv.multi_file
-        self.no_comments += fv.comment_word_count == 0
-        self.comment_words += fv.comment_word_count
-        self.words += fv.word_count
-        self.with_packages += fv.package_count > 0
-        self.packages += fv.package_count
-        self.with_newcommands += fv.newcommand_count > 0
-        self.newcommands += fv.newcommand_count
-        self.with_theorems += fv.theorem_count > 0
-        self.theorems += fv.theorem_count
-        self.figures += fv.figure_count
-        self.authors += fv.author_count
-        if fv.page_count is not None:
-            self.with_pages += 1
-            self.pages += fv.page_count
-            self.page_histogram[fv.page_count] += 1
-        self.graphicx_declared += fv.graphicx_declared
-        self.graphicx_unused += fv.graphicx_unused
-        self.epsfig_declared += fv.epsfig_declared
-        self.epsfig_unused += fv.epsfig_unused
-        if fv.timestamp is not None:
-            self.monthly[fv.timestamp.month - 1] += 1
-            self.yearly[fv.timestamp.year] += 1
-
-    def merge(self, other: "CategoryAccumulator") -> None:
-        if other.category != self.category:
-            raise ValueError(
-                f"cannot merge {other.category!r} into {self.category!r}"
-            )
-        for f in fields(self):
-            if f.name != "category":
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def summary(self) -> "CorpusSummary":
-        if self.papers == 0:
-            raise EmptyCorpus(f"no papers in category {self.category!r}")
-        n = self.papers
-
-        def ratio(part: int, whole: int) -> float | None:
-            return part / whole if whole else None
-
-        return CorpusSummary(
-            category=self.category,
-            paper_count=n,
-            fraction_multi_file=self.multi_file / n,
-            fraction_no_comments=self.no_comments / n,
-            mean_comment_words=self.comment_words / n,
-            mean_words=self.words / n,
-            fraction_with_packages=self.with_packages / n,
-            mean_packages_when_present=ratio(self.packages, self.with_packages),
-            fraction_with_newcommands=self.with_newcommands / n,
-            mean_newcommands_when_present=ratio(
-                self.newcommands, self.with_newcommands
-            ),
-            fraction_with_theorems=self.with_theorems / n,
-            mean_theorems_when_present=ratio(self.theorems, self.with_theorems),
-            mean_figures=self.figures / n,
-            mean_authors=self.authors / n,
-            mean_pages=ratio(self.pages, self.with_pages),
-            modal_pages=(
-                min(
-                    self.page_histogram,
-                    key=lambda p: (-self.page_histogram[p], p),
-                )
-                if self.page_histogram
-                else None
-            ),
-            fraction_graphicx_unused=ratio(
-                self.graphicx_unused, self.graphicx_declared
-            ),
-            fraction_epsfig_unused=ratio(self.epsfig_unused, self.epsfig_declared),
-            page_histogram=dict(sorted(self.page_histogram.items())),
-            monthly_histogram=tuple(self.monthly[m] for m in range(12)),
-            yearly_histogram=dict(sorted(self.yearly.items())),
-        )
-
-
 @dataclass(frozen=True)
 class CorpusSummary:
     """Per-category aggregate statistics.
@@ -294,26 +178,71 @@ def summarize(
     diagnostics: list[Diagnostic] | None = None,
 ) -> dict[str, CorpusSummary]:
     """Summaries keyed by category, categories sorted."""
-    accumulators: dict[str, CategoryAccumulator] = {}
+    groups: dict[str, list[FeatureVector]] = {}
     undated = 0
     for fv in features:
-        acc = accumulators.get(fv.category)
-        if acc is None:
-            acc = CategoryAccumulator(category=fv.category)
-            accumulators[fv.category] = acc
-        acc.add(fv)
-        if fv.timestamp is None:
-            undated += 1
-    if not accumulators:
+        groups.setdefault(fv.category, []).append(fv)
+        undated += fv.timestamp is None
+    if not groups:
         raise EmptyCorpus("no feature vectors given")
     if undated and diagnostics is not None:
         diagnostics.append(
             Diagnostic("summarize", f"{undated} papers lack a timestamp")
         )
     return {
-        category: accumulators[category].summary()
-        for category in sorted(accumulators)
+        category: _summary(category, groups[category]) for category in sorted(groups)
     }
+
+
+def _mean(values: Iterable[int]) -> float | None:
+    """The integer sum of the values over their number; None for no values."""
+    values = list(values)
+    return sum(values) / len(values) if values else None
+
+
+def _summary(category: str, group: list[FeatureVector]) -> CorpusSummary:
+    """One category's summary, read straight from its feature vectors.
+
+    Every statistic divides one integer sum by another, so the order of
+    ``group`` does not change a result.
+    """
+    comment_words = [fv.comment_word_count for fv in group]
+    packages = [fv.package_count for fv in group]
+    newcommands = [fv.newcommand_count for fv in group]
+    theorems = [fv.theorem_count for fv in group]
+    pages = [fv.page_count for fv in group if fv.page_count is not None]
+    page_histogram = Counter(pages)
+    stamps = [fv.timestamp for fv in group if fv.timestamp is not None]
+    months = Counter(stamp.month for stamp in stamps)
+    return CorpusSummary(
+        category=category,
+        paper_count=len(group),
+        fraction_multi_file=_mean(fv.multi_file for fv in group),
+        fraction_no_comments=_mean(count == 0 for count in comment_words),
+        mean_comment_words=_mean(comment_words),
+        mean_words=_mean(fv.word_count for fv in group),
+        fraction_with_packages=_mean(count > 0 for count in packages),
+        mean_packages_when_present=_mean(count for count in packages if count),
+        fraction_with_newcommands=_mean(count > 0 for count in newcommands),
+        mean_newcommands_when_present=_mean(count for count in newcommands if count),
+        fraction_with_theorems=_mean(count > 0 for count in theorems),
+        mean_theorems_when_present=_mean(count for count in theorems if count),
+        mean_figures=_mean(fv.figure_count for fv in group),
+        mean_authors=_mean(fv.author_count for fv in group),
+        mean_pages=_mean(pages),
+        modal_pages=min(
+            page_histogram, key=lambda p: (-page_histogram[p], p), default=None
+        ),
+        fraction_graphicx_unused=_mean(
+            fv.graphicx_unused for fv in group if fv.graphicx_declared
+        ),
+        fraction_epsfig_unused=_mean(
+            fv.epsfig_unused for fv in group if fv.epsfig_declared
+        ),
+        page_histogram=dict(sorted(page_histogram.items())),
+        monthly_histogram=tuple(months[m] for m in range(1, 13)),
+        yearly_histogram=dict(sorted(Counter(stamp.year for stamp in stamps).items())),
+    )
 
 
 @dataclass(frozen=True)

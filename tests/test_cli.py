@@ -1,13 +1,17 @@
 """End-to-end runs of the command line against small temp corpora."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 from datetime import date
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from texcorpus import cli
+from texcorpus import cli, harvest
 from texcorpus.cli import (
     CLASSIFY_SCHEMA,
     FEATURES_SCHEMA,
@@ -17,6 +21,7 @@ from texcorpus.cli import (
     parse_feature_record,
     read_ndjson,
 )
+from texcorpus.features import FeatureVector
 from texcorpus.harvest import CorpusStore
 from texcorpus.lexer import SourceDocument
 from texcorpus.synth import two_class_corpus
@@ -94,6 +99,43 @@ def corpus40(tmp_path):
             )
         )
     return tmp_path
+
+
+def valid_feature_records():
+    """Eight valid feature records, four in each of two categories."""
+    return [
+        feature_record(
+            FeatureVector(
+                doc_id=f"d/{i}",
+                category="cs" if i % 2 else "math",
+                timestamp=None if i == 6 else date(2000 + i, 1 + i, 1),
+                multi_file=i % 3 == 0,
+                word_count=100 + 37 * i,
+                comment_word_count=5 * (i % 4),
+                page_count=None if i == 5 else 3 + i,
+                package_count=i % 3,
+                package_names=("amsmath", "graphicx")[: i % 3],
+                newcommand_count=i % 4,
+                theorem_count=i * 7 % 5,
+                theorem_like_count=i % 2,
+                figure_count=i % 2,
+                includegraphics_count=i % 3,
+                epsfig_command_count=0,
+                graphicx_declared=i % 2 == 0,
+                epsfig_declared=i == 4,
+                author_count=1 + i % 3,
+                author_block_found=i != 3,
+            )
+        )
+        for i in range(8)
+    ]
+
+
+def write_features(path, records):
+    schema = {"record": "schema", "name": FEATURES_SCHEMA, "version": 1}
+    lines = [json.dumps(record) for record in [schema, *records]]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
 
 
 def run_extract(root, jobs=1):
@@ -611,7 +653,38 @@ class TestClassify:
         assert sorted(os.listdir(tmp_path)) == ["features.ndjson"]
 
 
+def refuse_fetch(*args, **kwargs):
+    raise AssertionError("harvest fetched despite a bad option")
+
+
 class TestHarvestCommand:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--delay", "-1", "'-1' is not a number from 0 to 86400"),
+            ("--delay", "nan", "'nan' is not a number from 0 to 86400"),
+            ("--page-size", "0", "'0' is not an integer of at least 1"),
+            ("--max", "0", "'0' is not an integer of at least 1"),
+        ],
+    )
+    def test_bad_option_is_usage_error_before_any_fetch(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        monkeypatch.setattr(harvest, "http_fetch", refuse_fetch)
+        code = main(
+            [
+                "harvest",
+                "--category", "cs.AI",
+                "--max", "5",
+                "--store", str(tmp_path / "store"),
+                flag, value,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal:" not in err
+        assert not (tmp_path / "store").exists()
+
     def test_bad_category_is_usage_error(self, tmp_path, capsys):
         code = main(
             [
@@ -700,6 +773,51 @@ class TestMalformedRecords:
         assert code == 2
         assert f"{words}:2: a words record needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("multi_file", "false"),
+            ("words", "120"),
+            ("comment_words", 3.9),
+            ("pages", "12"),
+            ("pages", 0),
+            ("words", -1),
+            ("theorems", True),
+            ("figures", 2**53),
+            ("authors", 10**400),
+            ("package_names", ["amsmath", 1]),
+            ("package_names", "amsmath"),
+            ("id", 7),
+            ("category", None),
+            ("category", "\ud800"),
+            ("timestamp", 20010310),
+            ("timestamp", "2001-13-40"),
+            ("graphicx_declared", 1),
+        ],
+    )
+    def test_mistyped_feature_value(self, tmp_path, capsys, key, value):
+        records = valid_feature_records()
+        records[0][key] = value
+        features = write_features(tmp_path / "f.ndjson", records)
+        code = main(["stats", "--features", str(features), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{features}:2: feature record {key!r}" in err
+        assert "internal:" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_feature_key(self, tmp_path, capsys):
+        records = valid_feature_records()
+        del records[3]["pages"]
+        features = write_features(tmp_path / "f.ndjson", records)
+        code = main(["stats", "--features", str(features), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{features}:5: feature record lacks 'pages'" in capsys.readouterr().err
+
+    def test_valid_records_pass(self, tmp_path):
+        features = write_features(tmp_path / "f.ndjson", valid_feature_records())
+        assert main(["stats", "--features", str(features), "--out", str(tmp_path / "o")]) == 0
+
     def test_feature_line_not_utf8(self, tmp_path, capsys):
         schema = json.dumps({"record": "schema", "name": FEATURES_SCHEMA, "version": 1})
         features = tmp_path / "f.ndjson"
@@ -724,3 +842,61 @@ class TestMalformedRecords:
         )
         assert code == 2
         assert f"{words}:3: not UTF-8 text" in capsys.readouterr().err
+
+
+# Any JSON value: lone surrogates, NaN, infinities and integers far past
+# 2**64 included.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(st.characters(exclude_categories=()), max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestFeatureRecordFuzz:
+    """One field of one feature record replaced by any JSON value: every
+    analysis command exits 0 or 2, never through the internal-error branch."""
+
+    @given(
+        index=st.integers(0, 7),
+        key=st.sampled_from([wire for wire, *_ in cli.FEATURE_WIRE]),
+        value=JSON_VALUES,
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_analysis_commands_never_fail_internally(self, tmp_path, index, key, value):
+        records = valid_feature_records()
+        records[index][key] = value
+        features = str(write_features(tmp_path / "f.ndjson", records))
+        for argv in (
+            ["stats", "--features", features, "--out", str(tmp_path / "stats")],
+            ["trends", "--features", features, "--out", str(tmp_path / "trends")],
+            [
+                "discriminate",
+                "--basis", "packages",
+                "--features", features,
+                "--out", str(tmp_path / "discriminate"),
+            ],
+            [
+                "classify",
+                "--features", features,
+                "--positive", "cs",
+                "--model", str(tmp_path / "model"),
+                "--report", str(tmp_path / "report"),
+                "--max-epochs", "20",
+            ],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), (argv[0], err.getvalue())
+            assert "internal:" not in err.getvalue(), argv[0]

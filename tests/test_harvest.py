@@ -365,6 +365,22 @@ class TestUnpack:
         with pytest.raises(SizeCapExceeded):
             unpack(bomb, FileType.EPRINT, doc_id="x", size_cap=10_000)
 
+    def test_gzip_of_exactly_the_cap_is_accepted(self):
+        doc = unpack(
+            gzip.compress(b"A" * 10_000), FileType.EPRINT, doc_id="x", size_cap=10_000
+        )
+        assert doc.files == [("main.tex", b"A" * 10_000)]
+
+    def test_gzip_one_byte_over_the_cap_is_rejected(self):
+        payload = gzip.compress(b"A" * 10_001)
+        with pytest.raises(SizeCapExceeded, match="^x: "):
+            unpack(payload, FileType.EPRINT, doc_id="x", size_cap=10_000)
+
+    def test_bytes_after_the_gzip_member_are_ignored(self):
+        payload = gzip.compress(b"\\documentclass{article}") + b"trailing junk"
+        doc = unpack(payload, FileType.EPRINT, doc_id="x", size_cap=23)
+        assert doc.files == [("main.tex", b"\\documentclass{article}")]
+
     def test_corrupt_gzip(self):
         with pytest.raises(ArchiveCorrupt):
             unpack(b"\x1f\x8b garbage", FileType.EPRINT_TAR, doc_id="x")
