@@ -24,14 +24,12 @@ _EXPORTS = {
             "LogisticModel",
             "TrainConfig",
             "evaluate",
-            "load_model",
             "save_model",
             "train_classifier",
             "train_test_split",
         ),
         ".comments": (
             "CommentSpan",
-            "CompilationOracle",
             "NormalizingOracle",
             "detect_ignore_macros",
             "extract_line_comments",

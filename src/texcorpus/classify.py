@@ -112,20 +112,16 @@ class LogisticModel:
     final_loss: float
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
-    def standardize(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """1 where the positive-class probability is at least 0.5, else 0."""
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise ShapeMismatch(
                 f"expected {len(self.feature_names)} feature columns, "
                 f"got shape {X.shape}"
             )
-        return (X - self.means) / self.stds
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        Xs = self.standardize(np.asarray(X, dtype=np.float64))
-        return _sigmoid(Xs @ self.weights + self.bias)
-
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(np.int64)
+        Xs = (X - self.means) / self.stds
+        return (_sigmoid(Xs @ self.weights + self.bias) >= 0.5).astype(np.int64)
 
     def weight_report(self) -> list[tuple[str, float]]:
         """(feature, weight) pairs, largest magnitude first."""
@@ -317,21 +313,3 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
-
-def load_model(path: str | Path) -> LogisticModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("schema") != MODEL_SCHEMA:
-        raise TexcorpusError(f"unrecognized model schema {payload.get('schema')!r}")
-    config = TrainConfig(**payload["config"])
-    return LogisticModel(
-        feature_names=tuple(payload["feature_names"]),
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        bias=float(payload["bias"]),
-        means=np.asarray(payload["means"], dtype=np.float64),
-        stds=np.asarray(payload["stds"], dtype=np.float64),
-        positive_category=payload["positive_category"],
-        config=config,
-        epochs_run=int(payload["epochs_run"]),
-        final_loss=float(payload["final_loss"]),
-        diagnostics=[],
-    )

@@ -21,6 +21,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import fields
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import Diagnostic, TexcorpusError
@@ -444,6 +445,15 @@ def _words_by_doc(path: str | Path) -> dict[str, dict]:
                 f"{where}: a words record needs a doc_id string and "
                 "words and comment_words lists"
             )
+        for key in ("words", "comment_words"):
+            # One join per list, not a check per word: a non-string raises
+            # TypeError, a lone surrogate UnicodeEncodeError.
+            try:
+                "".join(record[key]).encode("utf-8")
+            except (TypeError, UnicodeEncodeError) as exc:
+                raise UsageError(
+                    f"{where}: {key!r} must be a list of strings of Unicode text"
+                ) from exc
         by_doc[doc_id] = record
     return by_doc
 
@@ -527,34 +537,28 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- trends
 
+_WIRE_ATTRIBUTES = {wire: attr for wire, attr, _, _ in FEATURE_WIRE}
+
+
 def _trend_pairs(
     features: list[FeatureVector], x_name: str, y_name: str, figure_basis: str
 ) -> list[tuple[float, float]]:
-    def value(fv: FeatureVector, name: str) -> float | None:
-        if name == "year":
-            return float(fv.timestamp.year) if fv.timestamp else None
-        if name == "pages":
-            return float(fv.page_count) if fv.page_count is not None else None
-        if name == "words":
-            return float(fv.word_count)
-        if name == "packages":
-            return float(fv.package_count)
-        if name == "theorems":
-            return float(fv.theorem_count)
-        if name == "authors":
-            return float(fv.author_count)
-        if name == "figures":
-            if figure_basis == "environments":
-                return float(fv.figure_count)
-            return float(fv.includegraphics_count)
-        raise ValueError(name)
+    """(x, y) of each paper that has both measures; a measure is a feature
+    wire name, or "year" of the timestamp."""
 
+    def reader(name: str):
+        if name == "year":
+            return lambda fv: fv.timestamp.year if fv.timestamp else None
+        if name == "figures" and figure_basis == "includegraphics":
+            name = "includegraphics"
+        return attrgetter(_WIRE_ATTRIBUTES[name])
+
+    x_of, y_of = reader(x_name), reader(y_name)
     pairs = []
     for fv in features:
-        x = value(fv, x_name)
-        y = value(fv, y_name)
+        x, y = x_of(fv), y_of(fv)
         if x is not None and y is not None:
-            pairs.append((x, y))
+            pairs.append((float(x), float(y)))
     return pairs
 
 
@@ -583,21 +587,13 @@ def cmd_trends(args: argparse.Namespace) -> int:
                 if x_name == "year":
                     bases.append(("year_means", grouped_means(pairs)))
                 for basis, points in bases:
-                    if len(points) < 2:
-                        print(
-                            f"[trends] {x_name}/{y_name} ({scope}, {basis}): "
-                            "not enough points",
-                            file=sys.stderr,
-                        )
-                        continue
                     try:
                         fit = linear_trend(
                             [p[0] for p in points], [p[1] for p in points]
                         )
-                    except DegenerateX:
+                    except DegenerateX as exc:
                         print(
-                            f"[trends] {x_name}/{y_name} ({scope}, {basis}): "
-                            "x has no variance",
+                            f"[trends] {x_name}/{y_name} ({scope}, {basis}): {exc}",
                             file=sys.stderr,
                         )
                         continue

@@ -66,15 +66,9 @@ class OverlappingMaximalComments(TexcorpusError):
         self.second = second
 
 
-class CompilationOracle:
-    """Decides whether two sources compile to the same output."""
-
-    def equivalent(self, first: str, second: str) -> bool:
-        raise NotImplementedError
-
-
-class NormalizingOracle(CompilationOracle):
-    """Oracle that compares sources through a normalization function.
+class NormalizingOracle:
+    """Decides whether two sources compile to the same output by comparing
+    them through a normalization function.
 
     Tracks how many equivalence queries were made, which the budgeted
     partition routine relies on.
@@ -132,13 +126,13 @@ def _delete(s: str, i: int, j: int) -> str:
     return s[: i - 1] + s[j:]
 
 
-def is_comment(s: str, i: int, j: int, oracle: CompilationOracle) -> bool:
+def is_comment(s: str, i: int, j: int, oracle: NormalizingOracle) -> bool:
     """True when deleting s[i..j] (1-based, inclusive) is unobservable."""
     _check_span(s, i, j)
     return oracle.equivalent(s, _delete(s, i, j))
 
 
-def is_maximal_comment(s: str, i: int, j: int, oracle: CompilationOracle) -> bool:
+def is_maximal_comment(s: str, i: int, j: int, oracle: NormalizingOracle) -> bool:
     """True when s[i..j] is a comment that cannot grow in either direction.
 
     At the string boundary there is no room to grow, so a comment touching

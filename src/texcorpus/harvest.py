@@ -34,6 +34,8 @@ DEFAULT_API_BASE = "http://export.arxiv.org/api/query"
 DEFAULT_SOURCE_BASE = "https://arxiv.org/e-print"
 DEFAULT_DELAY = 3.0
 DEFAULT_SIZE_CAP = 256 * 1024 * 1024
+# retries of one listing page after a rate limit or a transport failure
+MAX_RETRIES = 3
 
 
 def api_base() -> str:
@@ -61,6 +63,10 @@ class RateLimited(HttpError):
     def __init__(self, status: int, url: str, retry_after: float | None = None):
         super().__init__(status, url)
         self.retry_after = retry_after
+
+
+class TransportError(TexcorpusError):
+    """A request failed before any HTTP status arrived (connection, timeout)."""
 
 
 class FeedParseError(TexcorpusError):
@@ -120,6 +126,22 @@ def _raise_for_status(status: int, headers: dict, url: str) -> None:
         raise HttpError(status, url)
 
 
+def _request(
+    url: str, fetch: FetchFn, params: dict | None = None
+) -> tuple[dict, bytes]:
+    """GET through ``fetch``, returning (headers, body) of a success.
+
+    requests' ConnectionError and Timeout subclass OSError, so any OSError
+    becomes TransportError; an error status raises HttpError or RateLimited.
+    """
+    try:
+        status, headers, body = fetch(url, params=params)
+    except OSError as exc:
+        raise TransportError(f"transport error for {url}: {exc}") from exc
+    _raise_for_status(status, headers, url)
+    return headers, body
+
+
 @dataclass(frozen=True)
 class PaperRecord:
     """One listing entry, as much of it as the pipeline uses."""
@@ -136,8 +158,6 @@ class PaperRecord:
 class FeedPage:
     records: tuple[PaperRecord, ...]
     total_results: int
-    start_index: int
-    items_per_page: int
 
 
 _NS = {
@@ -172,19 +192,12 @@ def parse_listing_feed(xml_bytes: bytes) -> FeedPage:
     except ET.ParseError as exc:
         raise FeedParseError(f"feed is not well-formed XML: {exc}") from exc
 
-    def _int_field(tag: str, default: int) -> int:
-        text = root.findtext(f"opensearch:{tag}", namespaces=_NS)
-        if text is None:
-            return default
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise FeedParseError(f"bad opensearch:{tag}: {text!r}") from exc
-
     entries = root.findall("atom:entry", _NS)
-    total = _int_field("totalResults", len(entries))
-    start = _int_field("startIndex", 0)
-    per_page = _int_field("itemsPerPage", len(entries))
+    total_text = root.findtext("opensearch:totalResults", namespaces=_NS)
+    try:
+        total = len(entries) if total_text is None else int(total_text)
+    except ValueError as exc:
+        raise FeedParseError(f"bad opensearch:totalResults: {total_text!r}") from exc
 
     records = []
     for entry in entries:
@@ -225,12 +238,7 @@ def parse_listing_feed(xml_bytes: bytes) -> FeedPage:
                 page_count=page_count,
             )
         )
-    return FeedPage(
-        records=tuple(records),
-        total_results=total,
-        start_index=start,
-        items_per_page=per_page,
-    )
+    return FeedPage(records=tuple(records), total_results=total)
 
 
 def query_listing(
@@ -239,7 +247,6 @@ def query_listing(
     page_size: int = 100,
     from_date: date | None = None,
     to_date: date | None = None,
-    base_url: str | None = None,
     fetch: FetchFn | None = None,
 ) -> tuple[list[PaperRecord], FeedPage]:
     """Fetch and parse one page of the listing for a category.
@@ -247,8 +254,6 @@ def query_listing(
     Entries whose primary category differs (they match the query through a
     cross-list) are dropped from the records; the page keeps them.
     """
-    fetch = fetch or http_fetch
-    url = base_url or api_base()
     query = f"cat:{category}"
     if from_date and to_date:
         query += (
@@ -262,8 +267,7 @@ def query_listing(
         "sortBy": "submittedDate",
         "sortOrder": "ascending",
     }
-    status, headers, body = fetch(url, params=params)
-    _raise_for_status(status, headers, url)
+    _, body = _request(api_base(), fetch or http_fetch, params)
     page = parse_listing_feed(body)
     records = [r for r in page.records if r.primary_category == category]
     return records, page
@@ -275,17 +279,17 @@ def harvest_listing(
     page_size: int = 100,
     from_date: date | None = None,
     to_date: date | None = None,
-    base_url: str | None = None,
     fetch: FetchFn | None = None,
     delay: float | None = None,
     sleep: Callable[[float], None] = time.sleep,
-    max_retries: int = 3,
 ) -> list[PaperRecord]:
     """Page through the listing until max_records unique papers are seen.
 
-    Waits ``delay`` seconds between page requests and backs off
-    exponentially when rate-limited. Pages that only repeat known ids stop
-    the walk, as does reaching the feed's reported total.
+    Waits ``delay`` seconds between page requests. A page that is
+    rate-limited or fails in transport is retried up to MAX_RETRIES times,
+    after the server's Retry-After or an exponential backoff. Pages that
+    only repeat known ids stop the walk, as does reaching the feed's
+    reported total.
     """
     if delay is None:
         delay = default_delay()
@@ -301,15 +305,14 @@ def harvest_listing(
                     page_size=page_size,
                     from_date=from_date,
                     to_date=to_date,
-                    base_url=base_url,
                     fetch=fetch,
                 )
                 break
-            except RateLimited as exc:
+            except (RateLimited, TransportError) as exc:
                 attempt += 1
-                if attempt > max_retries:
+                if attempt > MAX_RETRIES:
                     raise
-                wait = exc.retry_after
+                wait = exc.retry_after if isinstance(exc, RateLimited) else None
                 if wait is None:
                     wait = delay * (2**attempt)
                 sleep(wait)
@@ -612,18 +615,9 @@ class CorpusStore:
             return []
         out = []
         for directory in sorted(self.root.iterdir()):
-            if directory.name.endswith(".quarantined"):
-                continue
             if (directory / "meta.json").is_file():
                 out.append(directory.name)
         return out
-
-    def quarantine(self, doc_id: str) -> Path:
-        """Move a document aside so iteration no longer sees it."""
-        directory = self._dir(doc_id)
-        target = directory.with_name(directory.name + ".quarantined")
-        directory.rename(target)
-        return target
 
 
 @dataclass
@@ -642,10 +636,8 @@ def fetch_source(
     paper_id: str, fetch: FetchFn | None = None
 ) -> tuple[bytes, str | None]:
     """Download one paper's source payload; returns (bytes, content type)."""
-    fetch = fetch or http_fetch
     url = f"{source_base().rstrip('/')}/{paper_id}"
-    status, headers, body = fetch(url)
-    _raise_for_status(status, headers, url)
+    headers, body = _request(url, fetch or http_fetch)
     content_type = headers.get("Content-Type") or headers.get("content-type")
     return body, content_type
 
@@ -664,9 +656,9 @@ def harvest_into_store(
 ) -> HarvestReport:
     """List papers in a category, download their sources, store them.
 
-    Soft failures (unsupported payloads, corrupt archives, HTTP errors on
-    single papers) are counted and reported as diagnostics; they never
-    abort the run.
+    Soft failures (unsupported payloads, corrupt archives, HTTP and
+    transport errors on single papers) are counted and reported as
+    diagnostics; they never abort the run.
     """
     if delay is None:
         delay = default_delay()
@@ -704,7 +696,13 @@ def harvest_into_store(
             report.unsupported += 1
             report.diagnostics.append(Diagnostic("harvest", str(exc)))
             continue
-        except (HttpError, ArchiveCorrupt, PathTraversal, SizeCapExceeded) as exc:
+        except (
+            HttpError,
+            TransportError,
+            ArchiveCorrupt,
+            PathTraversal,
+            SizeCapExceeded,
+        ) as exc:
             report.failed += 1
             report.diagnostics.append(Diagnostic("harvest", str(exc)))
             continue

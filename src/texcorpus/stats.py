@@ -267,7 +267,7 @@ def linear_trend(xs: Iterable[float], ys: Iterable[float]) -> TrendFit:
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
     n = len(xs)
     if n < 2:
-        raise DegenerateX("need at least two points")
+        raise DegenerateX("not enough points")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     var_x = math.fsum((x - mean_x) ** 2 for x in xs)

