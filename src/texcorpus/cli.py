@@ -118,7 +118,7 @@ class NdjsonWriter:
 def _json_object(line: str, where: str) -> dict:
     try:
         value = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"{where}: bad JSON") from exc
     if not isinstance(value, dict):
         raise UsageError(f"{where}: not a JSON object")
@@ -805,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--test-fraction", type=_open_fraction, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--l2", type=float, default=1e-3)
     p.add_argument("--max-epochs", type=int, default=5000)

@@ -146,43 +146,23 @@ def _read_group(
     return source[tokens[idx].end : tokens[close].start], close + 1
 
 
-@dataclass(frozen=True)
-class PackageUse:
-    """One package named in a \\usepackage or \\RequirePackage declaration."""
+def extract_packages(source: str, tokens: TokenStream) -> list[str]:
+    """Package names of all \\usepackage and \\RequirePackage declarations,
+    in order, duplicates preserved.
 
-    name: str
-    options: tuple[str, ...]
-    declared_at: int  # character offset of the declaring command
-
-
-def extract_packages(source: str, tokens: TokenStream) -> list[PackageUse]:
-    """All package declarations, in order, duplicates preserved.
-
-    A single \\usepackage[opts]{a, b} yields one entry per package name,
-    each carrying the shared option list.
+    \\usepackage[opts]{a, b} yields "a" then "b"; the option group is skipped.
     """
-    uses: list[PackageUse] = []
+    names: list[str] = []
     for i in tokens.command_positions(("usepackage", "RequirePackage")):
-        declared_at = tokens[i].start
         idx = i + 1
-        options: tuple[str, ...] = ()
         opt = _read_group(source, tokens, idx, OPT_OPEN)
         if opt is not None:
-            raw_options, idx = opt
-            options = tuple(
-                part.strip() for part in raw_options.split(",") if part.strip()
-            )
+            idx = opt[1]
         group = _read_group(source, tokens, idx)
         if group is None:
             continue
-        names, _ = group
-        for name in names.split(","):
-            name = name.strip()
-            if name:
-                uses.append(
-                    PackageUse(name=name, options=options, declared_at=declared_at)
-                )
-    return uses
+        names.extend(name.strip() for name in group[0].split(",") if name.strip())
+    return names
 
 
 @dataclass(frozen=True)
@@ -195,8 +175,8 @@ class GraphicsUse:
     epsfig_command_count: int
 
 
-def analyze_graphics(tokens: TokenStream, packages: list[PackageUse]) -> GraphicsUse:
-    declared = {p.name for p in packages}
+def analyze_graphics(tokens: TokenStream, packages: list[str]) -> GraphicsUse:
+    declared = set(packages)
     commands = tokens.commands
     return GraphicsUse(
         graphicx_declared="graphicx" in declared,
@@ -494,7 +474,7 @@ def extract_document(doc: SourceDocument) -> ExtractionResult:
     graphics = analyze_graphics(tokens, packages)
     theorems = extract_theorems(source, tokens)
     authors = extract_authors(source, tokens)
-    distinct_packages = tuple(sorted({p.name for p in packages}))
+    distinct_packages = tuple(sorted(set(packages)))
 
     features = FeatureVector(
         doc_id=doc.id,

@@ -414,15 +414,15 @@ def _gunzip_capped(payload: bytes, cap: int, doc_id: str) -> bytes:
     return out
 
 
-def _check_member_name(name: str) -> str:
-    """Validate and normalize an archive member path."""
+def _check_member_name(name: str, doc_id: str) -> str:
+    """Validate and normalize an archive member path of paper ``doc_id``."""
     if "\x00" in name:
-        raise PathTraversal(f"member name contains NUL: {name!r}")
+        raise PathTraversal(f"{doc_id}: member name contains NUL: {name!r}")
     if name.startswith("/") or re.match(r"^[A-Za-z]:[/\\]", name):
-        raise PathTraversal(f"absolute member path: {name!r}")
+        raise PathTraversal(f"{doc_id}: absolute member path: {name!r}")
     norm = posixpath.normpath(name.replace("\\", "/"))
     if norm == ".." or norm.startswith("../") or norm.startswith("/"):
-        raise PathTraversal(f"member path escapes root: {name!r}")
+        raise PathTraversal(f"{doc_id}: member path escapes root: {name!r}")
     return norm
 
 
@@ -447,7 +447,7 @@ def _unpack_tar(
                 )
             if not member.isreg():
                 continue
-            norm = _check_member_name(member.name)
+            norm = _check_member_name(member.name, doc_id)
             total += member.size
             if total > size_cap:
                 raise SizeCapExceeded(
@@ -554,7 +554,7 @@ class CorpusStore:
         files_dir.mkdir(parents=True, exist_ok=True)
         paths = []
         for path, data in doc.files:
-            norm = _check_member_name(path)
+            norm = _check_member_name(path, doc.id)
             target = files_dir / norm
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(data)
@@ -579,35 +579,50 @@ class CorpusStore:
         return self._load_dir(self._dir(doc_id))
 
     def _load_dir(self, directory: Path) -> SourceDocument:
-        meta_path = directory / "meta.json"
+        """Read one stored document. A meta.json that is not what ``save``
+        writes, including a listed path outside the entry, is CorruptMeta."""
+        name = directory.name
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise CorruptMeta(f"{directory.name}: {exc}") from exc
+            meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
+            raise CorruptMeta(f"{name}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CorruptMeta(f"{name}: meta.json is not a JSON object")
         if meta.get("schema") != CORPUS_SCHEMA:
-            raise CorruptMeta(
-                f"{directory.name}: unrecognized schema {meta.get('schema')!r}"
-            )
-        try:
-            doc_id = meta["id"]
-            rel_paths = meta["files"]
-        except KeyError as exc:
-            raise CorruptMeta(f"{directory.name}: missing key {exc}") from exc
+            raise CorruptMeta(f"{name}: unrecognized schema {meta.get('schema')!r}")
+
+        def value(key: str, kind: type, optional: bool = True):
+            found = meta.get(key)
+            # JSON yields exact types, so this also refuses a bool as an int
+            if (found is None and optional) or type(found) is kind:
+                return found
+            raise CorruptMeta(f"{name}: {key} is not a {kind.__name__}")
+
+        doc_id = value("id", str, optional=False)
+        rel_paths = value("files", list, optional=False)
         files = []
         for rel in rel_paths:
+            if not isinstance(rel, str):
+                raise CorruptMeta(f"{name}: a listed file is not a string")
             try:
+                rel = _check_member_name(rel, name)
                 files.append((rel, (directory / "files" / rel).read_bytes()))
+            except PathTraversal as exc:
+                raise CorruptMeta(str(exc)) from exc
             except OSError as exc:
-                raise CorruptMeta(f"{directory.name}: unreadable {rel!r}") from exc
-        timestamp = meta.get("timestamp")
-        return SourceDocument(
-            id=doc_id,
-            files=files,
-            main_file=meta.get("main_file"),
-            timestamp=date.fromisoformat(timestamp) if timestamp else None,
-            category=meta.get("category", ""),
-            page_count=meta.get("page_count"),
-        )
+                raise CorruptMeta(f"{name}: unreadable {rel!r}") from exc
+        timestamp = value("timestamp", str)
+        try:
+            return SourceDocument(
+                id=doc_id,
+                files=files,
+                main_file=value("main_file", str),
+                timestamp=date.fromisoformat(timestamp) if timestamp else None,
+                category=value("category", str) or "",
+                page_count=value("page_count", int),
+            )
+        except ValueError as exc:
+            raise CorruptMeta(f"{name}: {exc}") from exc
 
     def ids(self) -> list[str]:
         """Stored ids, sorted by directory name; none for a missing root."""

@@ -1,4 +1,4 @@
-"""The package's public name list, and what importing it loads."""
+"""What importing the package, its CLI and its classifier loads."""
 
 import ast
 import os
@@ -11,15 +11,6 @@ from synth import two_class_corpus
 from texcorpus.cli import FEATURES_SCHEMA, NdjsonWriter, feature_record
 
 SRC = Path(texcorpus.__file__).resolve().parent.parent
-
-
-def test_all_is_sorted_and_unique():
-    assert list(texcorpus.__all__) == sorted(set(texcorpus.__all__))
-
-
-def test_every_exported_name_resolves():
-    for name in texcorpus.__all__:
-        assert hasattr(texcorpus, name), name
 
 
 def heavy_modules_after(code: str) -> list[str]:
@@ -53,17 +44,4 @@ class TestLazyImports:
         assert heavy_modules_after(code) == []
 
     def test_classifier_name_loads_numpy(self):
-        code = "import texcorpus\ntexcorpus.train_classifier"
-        assert heavy_modules_after(code) == ["numpy"]
-
-    def test_names_resolve_to_their_modules(self):
-        from texcorpus import classify, harvest
-
-        assert texcorpus.train_classifier is classify.train_classifier
-        assert texcorpus.harvest_into_store is harvest.harvest_into_store
-        assert not hasattr(texcorpus, "no_such_name")
-
-    def test_star_import_binds_every_name(self):
-        namespace: dict = {}
-        exec("from texcorpus import *", namespace)
-        assert set(texcorpus.__all__) <= namespace.keys()
+        assert heavy_modules_after("import texcorpus.classify") == ["numpy"]

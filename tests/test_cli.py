@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import os
+import re
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -131,10 +134,13 @@ def valid_feature_records():
     ]
 
 
+def ndjson_bytes(schema_name, records):
+    schema = {"record": "schema", "name": schema_name, "version": 1}
+    return "".join(json.dumps(r) + "\n" for r in [schema, *records]).encode()
+
+
 def write_features(path, records):
-    schema = {"record": "schema", "name": FEATURES_SCHEMA, "version": 1}
-    lines = [json.dumps(record) for record in [schema, *records]]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    path.write_bytes(ndjson_bytes(FEATURES_SCHEMA, records))
     return path
 
 
@@ -921,3 +927,131 @@ class TestFeatureRecordFuzz:
                 code = main(argv)
             assert code in (0, 2), (argv[0], err.getvalue())
             assert "internal:" not in err.getvalue(), argv[0]
+
+
+def valid_words_records():
+    """Word lists for the eight records of ``valid_feature_records``."""
+    return [
+        {
+            "doc_id": f"d/{i}",
+            "words": ["lattice", "proof", "network", "graph"][: 1 + i % 4] * (1 + i),
+            "comment_words": ["todo", "fix"][: i % 3],
+        }
+        for i in range(8)
+    ]
+
+
+def edit_bytes(data: bytes, edit: tuple) -> bytes:
+    """Apply one generated edit to an input file's bytes."""
+    kind, *arg = edit
+    if kind == "cut":
+        return data[: arg[0] % (len(data) + 1)]
+    if kind == "insert":
+        at = arg[0] % (len(data) + 1)
+        return data[:at] + arg[1] + data[at:]
+    if kind == "nest":
+        lines = data.split(b"\n")
+        lines[arg[0] % len(lines)] = b"[" * arg[1] + b"]" * arg[1]
+        return b"\n".join(lines)
+    if kind == "schema":
+        return re.sub(rb"texcorpus\.\w+", arg[0], data, count=1)
+    if kind == "no schema line":
+        return data.split(b"\n", 1)[-1]
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    assert kind == "bytes"
+    return arg[0]
+
+
+def write_input(path: Path, data: bytes, edits: list[tuple]) -> None:
+    """Write the edited bytes to path, or make a directory there."""
+    if ("directory",) in edits:
+        path.mkdir()
+        return
+    for edit in edits:
+        data = edit_bytes(data, edit)
+    path.write_bytes(data)
+
+
+# A file is a list of edits applied to the valid file in turn; the
+# "directory" edit puts a directory in place of the file.
+INPUT_FILES = st.lists(
+    st.tuples(st.just("cut"), st.integers(0, 10_000))
+    | st.tuples(st.just("insert"), st.integers(0, 10_000), st.binary(min_size=1, max_size=4))
+    | st.tuples(st.just("nest"), st.integers(0, 8), st.integers(1, 3000))
+    | st.tuples(st.just("schema"), st.sampled_from([b"texcorpus.features", b"texcorpus.words"]))
+    | st.tuples(st.sampled_from(["no schema line", "crlf", "bom", "directory"]))
+    | st.tuples(st.just("bytes"), st.binary(max_size=64)),
+    max_size=3,
+)
+
+
+def option(*listed):
+    """Mostly one of the listed values, sometimes any short text."""
+    return st.one_of(*[st.sampled_from(listed)] * 3, st.text(max_size=6))
+
+
+@st.composite
+def analysis_argv(draw):
+    """An analysis subcommand with generated options, and the names of the
+    input files it reads."""
+    command = draw(st.sampled_from(["stats", "trends", "discriminate", "classify"]))
+    argv = [command]
+    if command == "stats":
+        argv += ["--format", draw(option("ndjson", "csv"))]
+    elif command == "trends":
+        argv += ["--figure-basis", draw(option("includegraphics", "environments"))]
+    elif command == "discriminate":
+        argv += ["--basis", draw(option("text", "comments", "packages"))]
+        argv += ["--between", draw(option("categories", "regions"))]
+        if draw(st.booleans()):
+            argv += ["--categories", draw(option("cs,math", "math,cs", "cs,zz", "cs"))]
+        argv += ["-k", draw(option("0", "3", "-1"))]
+        argv += ["--min-length", draw(option("-2", "0", "3", "9"))]
+        if draw(st.booleans()):
+            argv.append("--keep-stopwords")
+    else:
+        argv += ["--positive", draw(option("cs", "math", "zz"))]
+        argv += ["--test-fraction", draw(option("0.25", "0.5", "1"))]
+        argv += ["--seed", draw(option("-2", "-1", "0", "7", str(2**70)))]
+        argv += ["--max-epochs", draw(option("-1", "0", "20"))]
+    inputs = ["features"]
+    if command == "discriminate" and draw(st.booleans()):
+        inputs.append("words")
+    return argv, inputs
+
+
+class TestMainFuzz:
+    """Generated argv and input bytes through ``main``: every run exits 0 or
+    2, never through the internal-error branch."""
+
+    @given(
+        command=analysis_argv(),
+        features_edit=INPUT_FILES,
+        words_edit=INPUT_FILES,
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_analysis_commands_exit_0_or_2(self, command, features_edit, words_edit):
+        argv, inputs = list(command[0]), command[1]
+        originals = {
+            "features": ndjson_bytes(FEATURES_SCHEMA, valid_feature_records()),
+            "words": ndjson_bytes("texcorpus.words", valid_words_records()),
+        }
+        edits = {"features": features_edit, "words": words_edit}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name in inputs:
+                path = root / f"{name}.ndjson"
+                write_input(path, originals[name], edits[name])
+                argv += [f"--{name}", str(path)]
+            if argv[0] == "classify":
+                argv += ["--model", str(root / "model"), "--report", str(root / "report")]
+            else:
+                argv += ["--out", str(root / "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "internal:" not in err.getvalue()

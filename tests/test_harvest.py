@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from texcorpus.cli import main
 from texcorpus.harvest import (
     ArchiveCorrupt,
     CorpusStore,
@@ -358,7 +359,7 @@ class TestUnpack:
     )
     def test_traversal_names_rejected(self, name):
         payload = tar_gz([(name, b"evil")])
-        with pytest.raises(PathTraversal):
+        with pytest.raises(PathTraversal, match="^x: "):
             unpack(payload, FileType.EPRINT_TAR, doc_id="x")
 
     def test_inner_dotdot_that_stays_inside_is_fine(self):
@@ -479,6 +480,12 @@ class TestCorpusStore:
         with pytest.raises(CorruptMeta):
             store.load("x")
 
+    def test_save_rejects_a_path_outside_the_entry(self, tmp_path):
+        doc = SourceDocument(id="cs/9", files=[("../../x.tex", b"x")])
+        with pytest.raises(PathTraversal, match="^cs/9: member path escapes root"):
+            CorpusStore(tmp_path).save(doc)
+        assert not (tmp_path.parent / "x.tex").exists()
+
     def test_reading_never_creates_the_root(self, tmp_path):
         root = tmp_path / "store"
         assert CorpusStore(root).ids() == []
@@ -507,6 +514,89 @@ class TestCorpusStore:
             "files",
             "meta.json",
         ]
+
+
+class TestMalformedMeta:
+    """Each malformed meta.json fails its own document, not the extract run."""
+
+    @staticmethod
+    def store(root):
+        store = CorpusStore(root)
+        for n in range(3):
+            store.save(
+                SourceDocument(
+                    id=f"cs/{n}",
+                    files=[("main.tex", f"\\documentclass{{article}} paper{n}".encode())],
+                    category="cs.AI",
+                    timestamp=date(2001, 1, n + 1),
+                    page_count=3,
+                )
+            )
+        return store
+
+    def extract_with_meta(self, tmp_path, capsys, meta_text):
+        self.store(tmp_path / "store")
+        (tmp_path / "store" / "cs_1" / "meta.json").write_text(meta_text, encoding="utf-8")
+        out, words = tmp_path / "f.ndjson", tmp_path / "w.ndjson"
+        argv = ["extract", "--corpus", str(tmp_path / "store"), "--out", str(out)]
+        code = main([*argv, "--words", str(words)])
+        ids = [json.loads(line)["id"] for line in out.read_text().splitlines()[1:]]
+        return code, ids, capsys.readouterr().err, words.read_text()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"files": 5},
+            {"files": [5]},
+            {"files": None},
+            {"id": 7},
+            {"page_count": 0},
+            {"page_count": "3"},
+            {"page_count": True},
+            {"timestamp": "2012-13-45"},
+            {"timestamp": 2012},
+            {"main_file": "nope.tex"},
+            {"category": ["cs.AI"]},
+            {"files": ["."]},
+        ],
+        ids=repr,
+    )
+    def test_bad_field(self, tmp_path, capsys, change):
+        meta = {
+            "schema": "texcorpus.corpus.v1",
+            "id": "cs/1",
+            "category": "cs.AI",
+            "timestamp": "2001-01-02",
+            "page_count": 3,
+            "main_file": None,
+            "files": ["main.tex"],
+            **change,
+        }
+        code, ids, err, _ = self.extract_with_meta(tmp_path, capsys, json.dumps(meta))
+        assert (code, ids) == (0, ["cs/0", "cs/2"])
+        assert "[extract] cs_1: cs_1: " in err
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 1000 + "]" * 1000, "[1]", "{", ""], ids=["deep", "list", "cut", "empty"]
+    )
+    def test_bad_json(self, tmp_path, capsys, text):
+        code, ids, err, _ = self.extract_with_meta(tmp_path, capsys, text)
+        assert (code, ids) == (0, ["cs/0", "cs/2"])
+        assert "[extract] cs_1: cs_1: " in err
+
+    def test_listed_path_outside_the_entry_is_not_read(self, tmp_path, capsys):
+        (tmp_path / "secret.tex").write_text("classified", encoding="utf-8")
+        meta = {"schema": "texcorpus.corpus.v1", "id": "cs/1", "files": ["../../../secret.tex"]}
+        code, ids, err, words = self.extract_with_meta(tmp_path, capsys, json.dumps(meta))
+        assert (code, ids) == (0, ["cs/0", "cs/2"])
+        assert "[extract] cs_1: cs_1: member path escapes root: '../../../secret.tex'" in err
+        assert "classified" not in words
+
+    def test_load_raises_corrupt_meta(self, tmp_path):
+        store = self.store(tmp_path)
+        (tmp_path / "cs_1" / "meta.json").write_text('{"schema": "texcorpus.corpus.v1"}')
+        with pytest.raises(CorruptMeta, match="^cs_1: id is not a str"):
+            store.load("cs/1")
 
 
 class TestHarvestIntoStore:

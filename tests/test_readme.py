@@ -1,0 +1,26 @@
+"""The README's library example runs as written."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_library_example_runs(tmp_path, monkeypatch, capsys):
+    (block,) = python_blocks()
+    (tmp_path / "main.tex").write_text(
+        "\\documentclass{article}\n\\usepackage{graphicx}\n"
+        "\\begin{document}\nSome words % a note\n\\end{document}\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.splitlines() == [
+        "10 ('graphicx',)",
+        "line 75 82 ' a note'",
+        "[(2, 8)]",
+    ]
