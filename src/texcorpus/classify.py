@@ -9,6 +9,7 @@ same inputs and configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -40,6 +41,10 @@ class DegenerateFeatures(TexcorpusError):
 
 class ShapeMismatch(TexcorpusError):
     """A feature matrix does not match the model's feature count."""
+
+
+class TrainingDiverged(TexcorpusError):
+    """The loss stopped being a finite number during training."""
 
 
 def features_matrix(features: Sequence[FeatureVector]) -> np.ndarray:
@@ -142,7 +147,8 @@ def fit(
     Constant columns get a unit divisor instead; being identically zero
     after centering, they keep weight zero and a diagnostic records them.
     Stops when an epoch improves the loss by less than ``config.tol`` or
-    after ``config.max_epochs``.
+    after ``config.max_epochs``. Raises TrainingDiverged, naming the epoch,
+    when a step overflows the loss, as too large a learning rate makes it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -177,26 +183,33 @@ def fit(
     bias = 0.0
     loss, grad_w, grad_b = loss_and_gradient(weights, bias, Xs, y, config.l2)
     epochs = 0
-    for epochs in range(1, config.max_epochs + 1):
-        weights = weights - config.learning_rate * grad_w
-        bias = bias - config.learning_rate * grad_b
-        new_loss, grad_w, grad_b = loss_and_gradient(
-            weights, bias, Xs, y, config.l2
-        )
-        if new_loss > loss:
-            diagnostics.append(
-                Diagnostic(
-                    "fit",
-                    f"loss rose at epoch {epochs} "
-                    f"({loss:.6g} -> {new_loss:.6g}); stopping",
-                )
+    # an overflow shows as a loss that is not finite, checked each epoch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epochs in range(1, config.max_epochs + 1):
+            weights = weights - config.learning_rate * grad_w
+            bias = bias - config.learning_rate * grad_b
+            new_loss, grad_w, grad_b = loss_and_gradient(
+                weights, bias, Xs, y, config.l2
             )
+            if not math.isfinite(new_loss):
+                raise TrainingDiverged(
+                    f"training diverged at epoch {epochs}: the loss is "
+                    f"{new_loss}; use a smaller learning rate"
+                )
+            if new_loss > loss:
+                diagnostics.append(
+                    Diagnostic(
+                        "fit",
+                        f"loss rose at epoch {epochs} "
+                        f"({loss:.6g} -> {new_loss:.6g}); stopping",
+                    )
+                )
+                loss = new_loss
+                break
+            improved = loss - new_loss
             loss = new_loss
-            break
-        improved = loss - new_loss
-        loss = new_loss
-        if improved < config.tol:
-            break
+            if improved < config.tol:
+                break
 
     return LogisticModel(
         feature_names=tuple(feature_names),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import reprlib
@@ -742,6 +743,10 @@ _open_fraction = _checked(
     float, lambda v: 0 < v < 1, "a number strictly between 0 and 1"
 )
 _delay = _checked(float, lambda v: 0 <= v <= 86400, "a number from 0 to 86400")
+_learning_rate = _checked(
+    float, lambda v: 0 < v < math.inf, "a finite number greater than 0"
+)
+_l2_weight = _checked(float, lambda v: 0 <= v < math.inf, "a finite number of at least 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -806,8 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--test-fraction", type=_open_fraction, default=0.25)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=1e-3)
+    p.add_argument("--learning-rate", type=_learning_rate, default=0.5)
+    p.add_argument("--l2", type=_l2_weight, default=1e-3)
     p.add_argument("--max-epochs", type=int, default=5000)
     p.set_defaults(func=cmd_classify)
 

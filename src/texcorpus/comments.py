@@ -25,7 +25,6 @@ from .lexer import (
     OPT_OPEN,
     OTHER,
     WORD,
-    Token,
     TokenStream,
     _next_significant,
     alphabetic_words,
@@ -210,20 +209,21 @@ def semantic_comments(
     ]
 
 
-def extract_line_comments(source: str, tokens: list[Token]) -> list[CommentSpan]:
+def extract_line_comments(source: str, tokens: TokenStream) -> list[CommentSpan]:
     """Line comments from the token stream as 1-based closed spans.
 
     The span covers ``%`` through the last character before the newline;
     a bare ``%\\n`` yields an empty-text span covering just the ``%``.
     """
+    values, starts = tokens.values, tokens.starts
     spans: list[CommentSpan] = []
-    for tok in tokens:
-        if tok.kind is not LINE_COMMENT:
-            continue
-        end = tok.start + 1 + len(tok.value)
-        spans.append(
-            CommentSpan(kind="line", start=tok.start + 1, end=end, text=tok.value)
-        )
+    for i, kind in enumerate(tokens.kinds):
+        if kind is LINE_COMMENT:
+            text = values[i]
+            start = starts[i] + 1
+            spans.append(
+                CommentSpan(kind="line", start=start, end=start + len(text), text=text)
+            )
     return spans
 
 
@@ -237,7 +237,8 @@ def _is_empty_body(tokens: TokenStream, open_idx: int) -> tuple[bool, int]:
     close = tokens.closers[open_idx]
     if close == -1:
         return False, len(tokens)
-    empty = all(tokens[k].kind in _SKIPPABLE for k in range(open_idx + 1, close))
+    kinds = tokens.kinds
+    empty = all(kinds[k] in _SKIPPABLE for k in range(open_idx + 1, close))
     return empty, close + 1
 
 
@@ -255,11 +256,11 @@ def detect_ignore_macros(tokens: TokenStream) -> set[str]:
     for i in tokens.command_positions(("newcommand", "renewcommand", "def")):
         if i < resume:
             continue
-        tok = tokens[i]
-        if tok.value in ("newcommand", "renewcommand"):
+        command = tokens.values[i]
+        if command in ("newcommand", "renewcommand"):
             name, empty, nxt = _parse_newcommand(tokens, i + 1)
             if name is not None:
-                if tok.value == "newcommand":
+                if command == "newcommand":
                     if name not in defined:
                         defined.add(name)
                         if empty:
@@ -289,46 +290,47 @@ def _parse_newcommand(tokens: TokenStream, idx: int) -> tuple[str | None, bool, 
     Returns (macro name, body-is-empty, resume index); name is None when
     the shape does not match a one-argument definition.
     """
-    n = len(tokens)
-    idx = _next_significant(tokens, idx)
-    if idx < n and tokens[idx].kind is OTHER and tokens[idx].value == "*":
-        idx = _next_significant(tokens, idx + 1)
+    kinds, values = tokens.kinds, tokens.values
+    n = len(kinds)
+    idx = _next_significant(kinds, idx)
+    if idx < n and kinds[idx] is OTHER and values[idx] == "*":
+        idx = _next_significant(kinds, idx + 1)
     if idx >= n:
         return None, False, idx
 
     # the \x being defined: either {\x} or bare \x
-    if tokens[idx].kind is GROUP_OPEN:
-        inner = _next_significant(tokens, idx + 1)
-        if inner >= n or tokens[inner].kind is not COMMAND:
+    if kinds[idx] is GROUP_OPEN:
+        inner = _next_significant(kinds, idx + 1)
+        if inner >= n or kinds[inner] is not COMMAND:
             return None, False, idx
-        name = tokens[inner].value
-        close = _next_significant(tokens, inner + 1)
-        if close >= n or tokens[close].kind is not GROUP_CLOSE:
+        name = values[inner]
+        close = _next_significant(kinds, inner + 1)
+        if close >= n or kinds[close] is not GROUP_CLOSE:
             return None, False, idx
         idx = close + 1
-    elif tokens[idx].kind is COMMAND:
-        name = tokens[idx].value
+    elif kinds[idx] is COMMAND:
+        name = values[idx]
         idx += 1
     else:
         return None, False, idx
 
     # require exactly [1]: one mandatory argument, no optional default
-    idx = _next_significant(tokens, idx)
-    if not (idx < n and tokens[idx].kind is OPT_OPEN):
+    idx = _next_significant(kinds, idx)
+    if not (idx < n and kinds[idx] is OPT_OPEN):
         return None, False, idx
-    arg = _next_significant(tokens, idx + 1)
-    if not (arg < n and tokens[arg].kind is WORD and tokens[arg].value == "1"):
+    arg = _next_significant(kinds, idx + 1)
+    if not (arg < n and kinds[arg] is WORD and values[arg] == "1"):
         return None, False, idx
-    close = _next_significant(tokens, arg + 1)
-    if not (close < n and tokens[close].kind is OPT_CLOSE):
+    close = _next_significant(kinds, arg + 1)
+    if not (close < n and kinds[close] is OPT_CLOSE):
         return None, False, idx
-    idx = _next_significant(tokens, close + 1)
-    if idx < n and tokens[idx].kind is OPT_OPEN:
+    idx = _next_significant(kinds, close + 1)
+    if idx < n and kinds[idx] is OPT_OPEN:
         # a default value makes the first argument optional; not a plain
         # one-argument swallower
         return None, False, idx
 
-    if not (idx < n and tokens[idx].kind is GROUP_OPEN):
+    if not (idx < n and kinds[idx] is GROUP_OPEN):
         return None, False, idx
     empty, nxt = _is_empty_body(tokens, idx)
     return name, empty, nxt
@@ -336,19 +338,20 @@ def _parse_newcommand(tokens: TokenStream, idx: int) -> tuple[str | None, bool, 
 
 def _parse_def(tokens: TokenStream, idx: int) -> tuple[str | None, bool, int]:
     """Parse the tail of \\def\\x#1{...}."""
-    n = len(tokens)
-    idx = _next_significant(tokens, idx)
-    if idx >= n or tokens[idx].kind is not COMMAND:
+    kinds, values = tokens.kinds, tokens.values
+    n = len(kinds)
+    idx = _next_significant(kinds, idx)
+    if idx >= n or kinds[idx] is not COMMAND:
         return None, False, idx
-    name = tokens[idx].value
-    idx = _next_significant(tokens, idx + 1)
-    if not (idx < n and tokens[idx].kind is OTHER and tokens[idx].value == "#"):
+    name = values[idx]
+    idx = _next_significant(kinds, idx + 1)
+    if not (idx < n and kinds[idx] is OTHER and values[idx] == "#"):
         return None, False, idx
     idx += 1
-    if not (idx < n and tokens[idx].kind is WORD and tokens[idx].value == "1"):
+    if not (idx < n and kinds[idx] is WORD and values[idx] == "1"):
         return None, False, idx
-    idx = _next_significant(tokens, idx + 1)
-    if not (idx < n and tokens[idx].kind is GROUP_OPEN):
+    idx = _next_significant(kinds, idx + 1)
+    if not (idx < n and kinds[idx] is GROUP_OPEN):
         return None, False, idx
     empty, nxt = _is_empty_body(tokens, idx)
     return name, empty, nxt
@@ -369,15 +372,15 @@ def extract_macro_comments(
     """
     if not ignore_macros:
         return []
+    kinds, values, starts = tokens.kinds, tokens.values, tokens.starts
+    n = len(kinds)
     spans: list[CommentSpan] = []
-    n = len(tokens)
     resume = 0  # index just past the last invocation extracted
     for i in tokens.command_positions(ignore_macros):
         if i < resume:
             continue
-        tok = tokens[i]
-        open_idx = _next_significant(tokens, i + 1)
-        if not (open_idx < n and tokens[open_idx].kind is GROUP_OPEN):
+        open_idx = _next_significant(kinds, i + 1)
+        if not (open_idx < n and kinds[open_idx] is GROUP_OPEN):
             continue
         close = tokens.closers[open_idx]
         if close == -1:
@@ -385,20 +388,18 @@ def extract_macro_comments(
                 diagnostics.append(
                     Diagnostic(
                         "macro-comments",
-                        f"\\{tok.value} at offset {tok.start} has unbalanced "
+                        f"\\{values[i]} at offset {starts[i]} has unbalanced "
                         "braces; skipped",
                     )
                 )
             continue
-        close_tok = tokens[close]
-        arg_text = source[tokens[open_idx].end : close_tok.start]
         spans.append(
             CommentSpan(
                 kind="macro",
-                start=tok.start + 1,
-                end=close_tok.end,
-                text=arg_text,
-                macro=tok.value,
+                start=starts[i] + 1,
+                end=starts[close + 1],
+                text=source[starts[open_idx + 1] : starts[close]],
+                macro=values[i],
             )
         )
         resume = close + 1

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import posixpath
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import compress
 
 from .comments import (
     CommentSpan,
@@ -30,7 +32,6 @@ from .lexer import (
     WORD,
     NoMainFile,
     SourceDocument,
-    Token,
     TokenKind,
     TokenStream,
     _next_significant,
@@ -137,13 +138,15 @@ def _read_group(
     well-formed group is there. Extents come from the stream's brace
     table, so a [...] group ends at the first ``]``.
     """
-    idx = _next_significant(tokens, idx)
-    if idx >= len(tokens) or tokens[idx].kind is not opener:
+    kinds = tokens.kinds
+    idx = _next_significant(kinds, idx)
+    if idx >= len(kinds) or kinds[idx] is not opener:
         return None
     close = tokens.closers[idx]
     if close == -1:
         return None
-    return source[tokens[idx].end : tokens[close].start], close + 1
+    starts = tokens.starts
+    return source[starts[idx + 1] : starts[close]], close + 1
 
 
 def extract_packages(source: str, tokens: TokenStream) -> list[str]:
@@ -206,15 +209,16 @@ def extract_theorems(source: str, tokens: TokenStream) -> TheoremCounts:
     names count without a binding. theorem_count covers theorems proper,
     theorem_like_count the other three classes.
     """
+    kinds, values = tokens.kinds, tokens.values
     bound: dict[str, str] = {}
-    n = len(tokens)
+    n = len(kinds)
     resume = 0  # index just past the last declaration read
     for i in tokens.commands.get("newtheorem", ()):
         if i < resume:
             continue
         idx = i + 1
-        nxt = _next_significant(tokens, idx)
-        if nxt < n and tokens[nxt].kind is OTHER and tokens[nxt].value == "*":
+        nxt = _next_significant(kinds, idx)
+        if nxt < n and kinds[nxt] is OTHER and values[nxt] == "*":
             idx = nxt + 1
         group = _read_group(source, tokens, idx)
         if group is not None:
@@ -282,19 +286,20 @@ def _segment_has_words(tokens: TokenStream, start: int, stop: int) -> bool:
     """Whether tokens[start:stop], one name segment, has visible words
     outside noise macros. tokens[stop] must be significant: a separator or
     the closing brace of the block."""
+    kinds, values = tokens.kinds, tokens.values
     i = start
     while i < stop:
-        tok = tokens[i]
-        if tok.kind is COMMAND and tok.value in _AUTHOR_NOISE_MACROS:
-            idx = _next_significant(tokens, i + 1)
-            if idx < stop and tokens[idx].kind is GROUP_OPEN:
+        kind = kinds[i]
+        if kind is COMMAND and values[i] in _AUTHOR_NOISE_MACROS:
+            idx = _next_significant(kinds, i + 1)
+            if idx < stop and kinds[idx] is GROUP_OPEN:
                 close = tokens.closers[idx]
                 if close != -1:
                     i = close + 1
                     continue
             i += 1
             continue
-        if tok.kind is WORD and alphabetic_words(tok.value):
+        if kind is WORD and alphabetic_words(values[i]):
             return True
         i += 1
     return False
@@ -304,16 +309,16 @@ def _count_block_authors(tokens: TokenStream, open_idx: int) -> int:
     """Authors inside the \\author{...} group opening at open_idx: segments
     split on \\and or \\\\ at brace depth zero, counting segments that
     carry a name. The group is closed, so every group inside it is too."""
-    closers = tokens.closers
+    kinds, values, closers = tokens.kinds, tokens.values, tokens.closers
     close = closers[open_idx]
     count = 0
     start = i = open_idx + 1
     while i < close:
-        tok = tokens[i]
-        if tok.kind is GROUP_OPEN:
+        kind = kinds[i]
+        if kind is GROUP_OPEN:
             i = closers[i] + 1
             continue
-        if tok.kind is COMMAND and tok.value in ("and", "\\"):
+        if kind is COMMAND and values[i] in ("and", "\\"):
             count += _segment_has_words(tokens, start, i)
             start = i + 1
         i += 1
@@ -337,7 +342,7 @@ def extract_authors(source: str, tokens: TokenStream) -> AuthorInfo:
         opt = _read_group(source, tokens, idx, OPT_OPEN)
         if opt is not None:
             _, idx = opt
-        idx = _next_significant(tokens, idx)
+        idx = _next_significant(tokens.kinds, idx)
         group = _read_group(source, tokens, idx)
         if group is None:
             continue
@@ -359,28 +364,25 @@ def _to_char_ranges(spans: list[CommentSpan]) -> list[tuple[int, int]]:
 
 
 def collect_words(
-    tokens: list[Token], exclude_spans: list[tuple[int, int]] | None = None
+    tokens: TokenStream, exclude_spans: list[tuple[int, int]] | None = None
 ) -> list[str]:
     """Visible words of the token stream, in order.
 
     Command names count as words (without the backslash); line comments
-    never do. ``exclude_spans`` removes tokens lying inside the given
-    0-based half-open character ranges, which is how no-op macro
+    never do. ``exclude_spans`` removes tokens lying inside any of the
+    given 0-based half-open character ranges, which is how no-op macro
     invocations are kept out of the text.
     """
-    ranges = exclude_spans or []
+    starts = tokens.starts
+    counted = [kind is WORD or kind is COMMAND for kind in tokens.kinds]
+    for lo, hi in exclude_spans or ():
+        # tokens first to last - 1 start at or after lo and end by hi
+        first = bisect_left(starts, lo)
+        last = bisect_right(starts, hi) - 1
+        if first < last:
+            counted[first:last] = [False] * (last - first)
     words: list[str] = []
-    ri = 0
-    for tok in tokens:
-        if tok.kind not in (COMMAND, WORD):
-            continue
-        while ri < len(ranges) and ranges[ri][1] <= tok.start:
-            ri += 1
-        if ri < len(ranges):
-            lo, hi = ranges[ri]
-            if tok.start >= lo and tok.end <= hi:
-                continue
-        value = tok.value
+    for value in compress(tokens.values, counted):
         # A string of letters only is exactly one alphabetic_words match.
         if value.isalpha():
             words.append(value.casefold())

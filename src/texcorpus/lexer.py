@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from string import ascii_letters
+from itertools import accumulate, islice
+from operator import itemgetter
 
 from .errors import TexcorpusError
 
@@ -71,7 +72,7 @@ OTHER = TokenKind.OTHER
 
 @dataclass(slots=True, unsafe_hash=True)
 class Token:
-    """One lexical unit.
+    """One lexical unit, as a view of one position of a ``TokenStream``.
 
     ``value`` holds the payload: the command name (without backslash), the
     comment text (without the ``%`` or the terminating newline), or the raw
@@ -79,9 +80,9 @@ class Token:
     token's span in the source (0-based, half-open); spans of consecutive
     tokens tile the source with no gaps or overlaps.
 
-    Slotted and not frozen: a document holds one Token per lexical unit, and
-    a frozen ``__init__`` costs over three times as much. Tokens compare and
-    hash by value, so treat them as immutable.
+    The stream stores its tokens as columns and builds a Token only when
+    it is indexed or iterated. Tokens compare and hash by value, so treat
+    them as immutable.
     """
 
     kind: TokenKind
@@ -92,32 +93,62 @@ class Token:
 
 VERBATIM_ENVIRONMENTS = ("verbatim", "verbatim*", "lstlisting")
 
-_WS_RE = re.compile(r"\s+")
-_PLAIN_RUN_RE = re.compile(r"(\s+)|\S+")
-_ALNUM_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# One lexeme per match: a command (letters, one other character, or a lone
+# trailing backslash), a comment with its newline, a single-character
+# token, a whitespace run, an alphanumeric run, or any other character.
+# ``\s`` matches exactly the characters for which ``str.isspace`` is true,
+# and ``[^\W_]`` those for which ``str.isalnum`` is.
+_LEXEME_RE = re.compile(r"\\[A-Za-z]+|\\.?|%[^\n]*\n?|[{}\[\]$]|\s+|[^\W_]+|.", re.S)
+_PLAIN_RUN_RE = re.compile(r"\s+|\S+")
 
-_SINGLE_CHAR_KINDS = {
-    "{": GROUP_OPEN,
-    "}": GROUP_CLOSE,
-    "[": OPT_OPEN,
-    "]": OPT_CLOSE,
-    "$": MATH_SHIFT,
-}
 
+class _KindByFirstChar(dict):
+    """The kind of a ``_LEXEME_RE`` match by its first character, except a
+    lone backslash. ASCII is in the table; other characters are classified
+    when met."""
+
+    def __missing__(self, c: str) -> TokenKind:
+        return WHITESPACE if c.isspace() else WORD if c.isalnum() else OTHER
+
+
+_KIND_BY_FIRST_CHAR = _KindByFirstChar(
+    {
+        "\\": COMMAND,
+        "%": LINE_COMMENT,
+        "{": GROUP_OPEN,
+        "}": GROUP_CLOSE,
+        "[": OPT_OPEN,
+        "]": OPT_CLOSE,
+        "$": MATH_SHIFT,
+    }
+)
+_KIND_BY_FIRST_CHAR.update({c: _KIND_BY_FIRST_CHAR[c] for c in map(chr, range(128))})
+_first_char = itemgetter(0)
 
 _BEGIN_VERBATIM_RE = re.compile(
     r"[ \t]*\{(" + "|".join(re.escape(name) for name in VERBATIM_ENVIRONMENTS) + r")\}"
 )
+# Text without a match holds no \verb argument and no verbatim body.
+_MAY_CUT_RE = re.compile(r"\\verb|\\begin" + _BEGIN_VERBATIM_RE.pattern)
 
 
-def _emit_plain_runs(text: str, start: int, end: int, out: list[Token]) -> None:
-    """Tokenize a verbatim region as alternating word/whitespace runs.
+def _lex(text: str, start: int, end: int, lexemes: list[str], kinds: list[TokenKind]) -> None:
+    """Append the lexemes of text[start:end] and their kinds."""
+    found = _LEXEME_RE.findall(text, start, end)
+    kinds += map(_KIND_BY_FIRST_CHAR.__getitem__, map(_first_char, found))
+    if found and found[-1] == "\\":
+        kinds[-1] = OTHER  # a lone trailing backslash names no command
+    lexemes += found
 
-    ``\\s`` matches exactly the characters for which ``str.isspace`` is true.
-    """
-    for m in _PLAIN_RUN_RE.finditer(text, start, end):
-        kind = WHITESPACE if m.lastindex == 1 else WORD
-        out.append(Token(kind, m.group(), m.start(), m.end()))
+
+def _lex_plain_runs(
+    text: str, start: int, end: int, lexemes: list[str], kinds: list[TokenKind]
+) -> None:
+    """Append text[start:end], a verbatim region, as alternating
+    word/whitespace runs."""
+    runs = _PLAIN_RUN_RE.findall(text, start, end)
+    kinds += [WHITESPACE if run[0].isspace() else WORD for run in runs]
+    lexemes += runs
 
 
 def tokenize(source: str | bytes) -> TokenStream:
@@ -126,79 +157,39 @@ def tokenize(source: str | bytes) -> TokenStream:
     Total over arbitrary input: malformed constructs degrade to OTHER
     tokens, they never raise. ``\\%`` yields a COMMAND token, not a
     comment. Text inside verbatim environments and ``\\verb`` arguments is
-    emitted as WORD/WHITESPACE tokens, so no LINE_COMMENT can start there.
+    emitted as WORD/WHITESPACE tokens, so no LINE_COMMENT can start there:
+    those regions are cut out first, and the text between them is lexed by
+    one ``_LEXEME_RE`` pass.
     """
     text = decode_source(source)
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    # (content_start, environment name) once a \begin{verbatim...} was seen
-    pending_verbatim: tuple[int, str] | None = None
+    lexemes: list[str] = []
+    kinds: list[TokenKind] = []
+    done = 0  # text[:done] is lexed
+    if _MAY_CUT_RE.search(text) is not None:
+        for name, _, end in scan_commands(text, _OPENERS):
+            region = _opaque_region(text, name, end)
+            if region is None:
+                continue
+            cut, body, body_end, done_to = region
+            _lex(text, done, cut, lexemes, kinds)
+            if body > cut:
+                lexemes.append(text[cut])
+                kinds.append(OTHER)
+            _lex_plain_runs(text, body, body_end, lexemes, kinds)
+            if done_to > body_end:
+                lexemes.append(text[body_end])
+                kinds.append(OTHER)
+            done = done_to
+    _lex(text, done, len(text), lexemes, kinds)
 
-    while i < n:
-        if pending_verbatim is not None and i == pending_verbatim[0]:
-            env = pending_verbatim[1]
-            pending_verbatim = None
-            closer = "\\end{" + env + "}"
-            stop = text.find(closer, i)
-            if stop == -1:
-                stop = n
-            _emit_plain_runs(text, i, stop, tokens)
-            i = stop
-            continue
-
-        c = text[i]
-        if c == "\\":
-            if i + 1 < n and text[i + 1] in ascii_letters:
-                j = i + 2
-                while j < n and text[j] in ascii_letters:
-                    j += 1
-                name = text[i + 1 : j]
-                tokens.append(Token(COMMAND, name, i, j))
-                i = j
-                if name == "verb":
-                    i = _lex_verb(text, i, tokens)
-                elif name == "begin":
-                    m = _BEGIN_VERBATIM_RE.match(text, i)
-                    if m:
-                        pending_verbatim = (m.end(), m.group(1))
-            elif i + 1 < n:
-                tokens.append(Token(COMMAND, text[i + 1], i, i + 2))
-                i += 2
-            else:
-                # lone trailing backslash: not a valid command name
-                tokens.append(Token(OTHER, "\\", i, n))
-                i = n
-        elif c == "%":
-            stop = text.find("\n", i)
-            if stop == -1:
-                tokens.append(Token(LINE_COMMENT, text[i + 1 :], i, n))
-                i = n
-            else:
-                tokens.append(Token(LINE_COMMENT, text[i + 1 : stop], i, stop + 1))
-                i = stop + 1
-        elif c in _SINGLE_CHAR_KINDS:
-            tokens.append(Token(_SINGLE_CHAR_KINDS[c], c, i, i + 1))
-            i += 1
-        elif c.isspace():
-            m = _WS_RE.match(text, i)
-            tokens.append(Token(WHITESPACE, m.group(0), i, m.end()))
-            i = m.end()
-        elif c.isalnum():
-            m = _ALNUM_RE.match(text, i)
-            if m:
-                tokens.append(Token(WORD, m.group(0), i, m.end()))
-                i = m.end()
-            else:
-                # isalnum but not \w-matched (rare unicode edge): keep as OTHER
-                tokens.append(Token(OTHER, c, i, i + 1))
-                i += 1
-        else:
-            tokens.append(Token(OTHER, c, i, i + 1))
-            i += 1
-
-    # built as a plain list: appending to the subclass in the loop is slower
-    return TokenStream(tokens)
+    # a command drops its backslash, a comment its % and newline
+    values = [
+        lexeme[1:] if kind is COMMAND
+        else (lexeme[1:-1] if lexeme[-1] == "\n" else lexeme[1:]) if kind is LINE_COMMENT
+        else lexeme
+        for kind, lexeme in zip(kinds, lexemes)
+    ]
+    return TokenStream(kinds, values, list(accumulate(map(len, lexemes), initial=0)))
 
 
 def _verb_extent(text: str, i: int) -> tuple[int, int, int]:
@@ -222,18 +213,31 @@ def _verb_extent(text: str, i: int) -> tuple[int, int, int]:
     return i, j, j + 1 if j < n and text[j] == delim else j
 
 
-def _lex_verb(text: str, i: int, tokens: list[Token]) -> int:
-    """Lex the tail of a \\verb command starting right after its name."""
-    delim, stop, end = _verb_extent(text, i)
-    if delim > i:
-        tokens.append(Token(OTHER, "*", i, delim))
-    if delim == end:
-        return end
-    tokens.append(Token(OTHER, text[delim], delim, delim + 1))
-    _emit_plain_runs(text, delim + 1, stop, tokens)
-    if end > stop:
-        tokens.append(Token(OTHER, text[stop], stop, end))
-    return end
+# the commands that can open a region the tokenizer does not lex as TeX
+_OPENERS = ("verb", "begin")
+
+
+def _opaque_region(text: str, name: str, i: int) -> tuple[int, int, int, int] | None:
+    """The region that the command ``name``, ending at i, makes opaque.
+
+    Returns (cut, body, body_end, end): text[cut:body] and
+    text[body_end:end] are the \\verb delimiters, each one OTHER token or
+    absent; text[body:body_end] is lexed as plain runs; TeX lexing resumes
+    at end. None when the command opens no region: it is not \\verb or a
+    \\begin of a verbatim environment, or it is a \\verb with no argument,
+    whose optional ``*`` lexes as OTHER anyway.
+    """
+    if name == "verb":
+        delim, stop, end = _verb_extent(text, i)
+        return None if delim == end else (delim, delim + 1, stop, end)
+    if name == "begin":
+        m = _BEGIN_VERBATIM_RE.match(text, i)
+        if m is not None:
+            stop = text.find("\\end{" + m.group(1) + "}", m.end())
+            if stop == -1:
+                stop = len(text)
+            return m.end(), m.end(), stop, stop
+    return None
 
 
 # a command (letters, one other character, or a lone trailing backslash)
@@ -243,7 +247,7 @@ _SCAN_RE = re.compile(r"\\([A-Za-z]+|.)?|%[^\n]*", re.S)
 
 def scan_commands(text: str, names: Collection[str]) -> Iterator[tuple[str, int, int]]:
     """(name, start, end) of each COMMAND token of ``tokenize(text)`` named
-    in ``names``, in order, without building any Token.
+    in ``names``, in order, with no lexing.
 
     One regex search jumps from each backslash or ``%`` to the next:
     comments are skipped to their newline, escapes such as ``\\\\`` and
@@ -259,40 +263,59 @@ def scan_commands(text: str, names: Collection[str]) -> Iterator[tuple[str, int,
             continue
         if name in names:
             yield name, m.start(), i
-        if name == "verb":
-            i = _verb_extent(text, i)[2]
-        elif name == "begin":
-            begin = _BEGIN_VERBATIM_RE.match(text, i)
-            if begin is not None:
-                i = text.find("\\end{" + begin.group(1) + "}", begin.end())
-                if i == -1:
-                    return
+        if name in _OPENERS:
+            region = _opaque_region(text, name, i)
+            if region is not None:
+                i = region[3]
 
 
-class TokenStream(list):
-    """The tokens of one source, in order, with its brace table and its
-    command index.
+class TokenStream:
+    """The tokens of one source as three parallel columns, with its brace
+    table and its command index.
 
-    ``closers`` is ``group_closers`` of the stream and ``commands`` maps
+    Token i has kind ``kinds[i]`` and value ``values[i]``, and spans
+    ``starts[i]:starts[i + 1]`` of the source: ``starts`` has one entry
+    more than the others, the length of the source, since the tokens tile
+    it. The pipeline reads the columns. Indexing, slicing and iteration
+    build ``Token`` views on demand.
+
+    ``closers`` is ``group_closers`` of ``kinds`` and ``commands`` maps
     each command name to the positions of its COMMAND tokens, in order.
     Both are built on first use and then kept, so the extractors share one
     table and one index per document, and a reader of a few named commands
     visits only those. They describe the stream as tokenized: treat the
-    stream as immutable. Scan it with ``for``, not an index loop: the
-    interpreter's fast path for ``tokens[i]`` takes exact lists only, so
-    indexing the subclass costs about 50 % more per token.
+    stream as immutable.
     """
+
+    def __init__(self, kinds: list[TokenKind], values: list[str], starts: list[int]):
+        self.kinds = kinds
+        self.values = values
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: int | slice) -> Token | list[Token]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self.kinds))[index]]
+        i = range(len(self.kinds))[index]
+        return Token(self.kinds[i], self.values[i], self.starts[i], self.starts[i + 1])
+
+    def __iter__(self) -> Iterator[Token]:
+        starts = self.starts
+        return map(Token, self.kinds, self.values, starts, islice(starts, 1, None))
 
     @cached_property
     def closers(self) -> list[int]:
-        return group_closers(self)
+        return group_closers(self.kinds)
 
     @cached_property
     def commands(self) -> dict[str, list[int]]:
         index: dict[str, list[int]] = {}
-        for i, tok in enumerate(self):
-            if tok.kind is COMMAND:
-                index.setdefault(tok.value, []).append(i)
+        values = self.values
+        for i, kind in enumerate(self.kinds):
+            if kind is COMMAND:
+                index.setdefault(values[i], []).append(i)
         return index
 
     def command_positions(self, names: Iterable[str]) -> list[int]:
@@ -301,8 +324,8 @@ class TokenStream(list):
         return sorted(i for name in names for i in index.get(name, ()))
 
 
-def group_closers(tokens: list[Token]) -> list[int]:
-    """The brace table of a token stream, built in one pass.
+def group_closers(kinds: list[TokenKind]) -> list[int]:
+    """The brace table of a token stream's kinds, built in one pass.
 
     Entry i is the index of the GROUP_CLOSE matching a GROUP_OPEN at i, or
     of the first OPT_CLOSE after an OPT_OPEN at i (options do not nest).
@@ -310,11 +333,10 @@ def group_closers(tokens: list[Token]) -> list[int]:
     Stray closers match nothing. Extractors read group extents from this
     table, so none of them rescans past a closer or to the end of input.
     """
-    closers = [-1] * len(tokens)
+    closers = [-1] * len(kinds)
     open_groups: list[int] = []
     open_options: list[int] = []
-    for i, tok in enumerate(tokens):
-        kind = tok.kind
+    for i, kind in enumerate(kinds):
         if kind is GROUP_OPEN:
             open_groups.append(i)
         elif kind is GROUP_CLOSE:
@@ -332,9 +354,10 @@ def group_closers(tokens: list[Token]) -> list[int]:
 _SKIPPABLE = (WHITESPACE, LINE_COMMENT)
 
 
-def _next_significant(tokens: list[Token], idx: int) -> int:
+def _next_significant(kinds: list[TokenKind], idx: int) -> int:
     """Index of the next token that is not whitespace or a line comment."""
-    while idx < len(tokens) and tokens[idx].kind in _SKIPPABLE:
+    n = len(kinds)
+    while idx < n and kinds[idx] in _SKIPPABLE:
         idx += 1
     return idx
 

@@ -595,6 +595,53 @@ class TestClassify:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "flag, value, requirement",
+        [
+            ("--learning-rate", rate, "a finite number greater than 0")
+            for rate in ("nan", "inf", "-1", "0")
+        ]
+        + [
+            ("--l2", l2, "a finite number of at least 0")
+            for l2 in ("nan", "inf", "1e400", "-1")
+        ],
+    )
+    def test_training_option_out_of_range_is_usage_error(
+        self, tmp_path, capsys, flag, value, requirement
+    ):
+        code = main(
+            [
+                "classify",
+                "--features", str(tmp_path / "f"),
+                "--positive", "cs",
+                "--model", str(tmp_path / "m"),
+                "--report", str(tmp_path / "r"),
+                flag, value,
+            ]
+        )
+        assert code == 2
+        assert f"{value!r} is not {requirement}" in capsys.readouterr().err
+
+    def test_diverging_training_is_an_error_naming_the_epoch(self, tmp_path, capsys):
+        features = tmp_path / "features.ndjson"
+        self.write_features(features, two_class_corpus(40, seed=2))
+        code = main(
+            [
+                "classify",
+                "--features", str(features),
+                "--positive", "cs",
+                "--model", str(tmp_path / "model.json"),
+                "--report", str(tmp_path / "r.ndjson"),
+                "--learning-rate", "1e308",
+                "--max-epochs", "50",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "training diverged at epoch 1: the loss is " in err
+        assert "internal:" not in err
+        assert sorted(os.listdir(tmp_path)) == ["features.ndjson"]
+
     def test_model_in_missing_directory_is_usage_error(self, tmp_path, capsys):
         features = tmp_path / "features.ndjson"
         self.write_features(features, two_class_corpus(40, seed=2))
@@ -1017,6 +1064,8 @@ def analysis_argv(draw):
         argv += ["--test-fraction", draw(option("0.25", "0.5", "1"))]
         argv += ["--seed", draw(option("-2", "-1", "0", "7", str(2**70)))]
         argv += ["--max-epochs", draw(option("-1", "0", "20"))]
+        argv += ["--learning-rate", draw(option("0.5", "1e308", "0", "-1", "nan", "inf"))]
+        argv += ["--l2", draw(option("0.001", "0", "1e308", "-1", "nan", "1e400"))]
     inputs = ["features"]
     if command == "discriminate" and draw(st.booleans()):
         inputs.append("words")

@@ -455,7 +455,7 @@ class TestBraceTable:
         # a table built apart from the stream and handed to it reads the
         # same as the one the stream builds on first use
         given = tokenize(self.SOURCE)
-        given.closers = group_closers(list(given))
+        given.closers = group_closers(given.kinds)
         assert extract(self.SOURCE, given) == extract(self.SOURCE, tokenize(self.SOURCE))
 
     def test_one_table_per_token_stream(self, monkeypatch):
@@ -534,9 +534,19 @@ class TestOneTokenization:
             extract_document(doc)
         assert len(calls) == len(docs)
 
+    def test_extraction_reads_the_columns_and_builds_no_token(self, monkeypatch):
+        def no_token(*args):
+            raise AssertionError("extract_document built a Token")
+
+        monkeypatch.setattr(lexer, "Token", no_token)
+        for doc_id in GOLDEN_IDS:
+            labels, doc = golden_document(doc_id)
+            assert extract_document(doc).features.doc_id == labels["id"]
+
 
 class TestLinearTime:
-    """An unclosed group must not make extraction rescan to the end of input."""
+    """An unclosed group must not make extraction rescan to the end of
+    input, nor a verbatim region or its opener make tokenizing rescan."""
 
     SHAPES = {
         "no-op macro": ("\\newcommand{\\hide}[1]{}\n", "\\hide{ x\n"),
@@ -544,26 +554,38 @@ class TestLinearTime:
         "newtheorem": ("", "\\newtheorem{ x\n"),
         "usepackage options": ("", "\\usepackage[ x\n"),
     }
+    TOKENIZE_SHAPES = {
+        "verb": ("", "\\verb|x| "),
+        "unclosed verb": ("", "\\verb|x\n"),
+        "verbatim": ("", "\\begin{verbatim}x\\end{verbatim}"),
+        "commented verbatim": ("", "%\\begin{verbatim}\n"),
+        "unclosed verbatim": ("\\begin{verbatim}\n", "x %y \\verb|z\n"),
+    }
 
     @staticmethod
-    def best_times(sources):
-        """The least CPU time of extract_document on each source.
+    def best_cpu_times(run, inputs):
+        """The least CPU time of run on each input.
 
         CPU time, not wall time, so that time other processes hold the CPU
-        is not counted; the sources take turns, so that a quiet or a busy
+        is not counted; the inputs take turns, so that a quiet or a busy
         spell of the machine falls on all of them alike.
         """
+        best = [float("inf")] * len(inputs)
+        for _ in range(15):
+            for k, given in enumerate(inputs):
+                start = time.process_time()
+                run(given)
+                best[k] = min(best[k], time.process_time() - start)
+        return best
+
+    @classmethod
+    def best_times(cls, sources):
+        """The least CPU time of extract_document on each source."""
         docs = [
             SourceDocument(id="t/scale", files=[("main.tex", source.encode())])
             for source in sources
         ]
-        best = [float("inf")] * len(docs)
-        for _ in range(15):
-            for k, doc in enumerate(docs):
-                start = time.process_time()
-                extract_document(doc)
-                best[k] = min(best[k], time.process_time() - start)
-        return best
+        return cls.best_cpu_times(extract_document, docs)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_four_times_the_input_takes_at_most_eight_times_as_long(self, shape):
@@ -572,5 +594,15 @@ class TestLinearTime:
         small, large = self.best_times(
             "\\documentclass{article}\n" + head + unclosed * repeats
             for repeats in (500, 2000)
+        )
+        assert large / small <= 8, f"{shape}: {large / small:.1f}x"
+
+    @pytest.mark.parametrize("shape", sorted(TOKENIZE_SHAPES))
+    def test_tokenize_four_times_the_input_at_most_eight_times_as_long(self, shape):
+        head, repeated = self.TOKENIZE_SHAPES[shape]
+        small, large = self.best_cpu_times(
+            tokenize,
+            ["\\documentclass{article}\n" + head + repeated * repeats
+             for repeats in (500, 2000)],
         )
         assert large / small <= 8, f"{shape}: {large / small:.1f}x"

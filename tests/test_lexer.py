@@ -1,9 +1,13 @@
 """Lexer invariants: lossless spans, escape handling, verbatim opacity."""
 
+import re
+from string import ascii_letters, digits
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden_docs
 from texcorpus.lexer import (
     NoMainFile,
     SourceDocument,
@@ -50,6 +54,148 @@ class TestRoundTrip:
             assert tok.end > tok.start
             position = tok.end
         assert position == len(source)
+
+
+_REF_BEGIN_VERBATIM_RE = re.compile(r"[ \t]*\{(verbatim|verbatim\*|lstlisting)\}")
+_REF_PLAIN_RUN_RE = re.compile(r"(\s+)|\S+")
+_REF_WS_RE = re.compile(r"\s+")
+_REF_ALNUM_RE = re.compile(r"[^\W_]+")
+_REF_SINGLE_CHAR_KINDS = {
+    "{": TokenKind.GROUP_OPEN,
+    "}": TokenKind.GROUP_CLOSE,
+    "[": TokenKind.OPT_OPEN,
+    "]": TokenKind.OPT_CLOSE,
+    "$": TokenKind.MATH_SHIFT,
+}
+
+
+def loop_tokenize(text):
+    """The per-character loop tokenize used to be, as (kind, value, start,
+    end) tuples: the reference the columnar tokenizer is checked against."""
+    tokens = []
+
+    def plain_runs(start, end):
+        for m in _REF_PLAIN_RUN_RE.finditer(text, start, end):
+            kind = TokenKind.WHITESPACE if m.lastindex == 1 else TokenKind.WORD
+            tokens.append((kind, m.group(), m.start(), m.end()))
+
+    def lex_verb(i):
+        n = len(text)
+        if i < n and text[i] == "*":
+            tokens.append((TokenKind.OTHER, "*", i, i + 1))
+            i += 1
+        if i >= n or text[i] == "\n":
+            return i
+        delim = text[i]
+        tokens.append((TokenKind.OTHER, delim, i, i + 1))
+        j = i + 1
+        while j < n and text[j] != delim and text[j] != "\n":
+            j += 1
+        plain_runs(i + 1, j)
+        if j < n and text[j] == delim:
+            tokens.append((TokenKind.OTHER, delim, j, j + 1))
+            j += 1
+        return j
+
+    i = 0
+    n = len(text)
+    pending_verbatim = None  # (content start, environment) after \begin{verbatim}
+    while i < n:
+        if pending_verbatim is not None and i == pending_verbatim[0]:
+            stop = text.find("\\end{" + pending_verbatim[1] + "}", i)
+            pending_verbatim = None
+            if stop == -1:
+                stop = n
+            plain_runs(i, stop)
+            i = stop
+            continue
+        c = text[i]
+        if c == "\\":
+            if i + 1 < n and text[i + 1] in ascii_letters:
+                j = i + 2
+                while j < n and text[j] in ascii_letters:
+                    j += 1
+                name = text[i + 1 : j]
+                tokens.append((TokenKind.COMMAND, name, i, j))
+                i = j
+                if name == "verb":
+                    i = lex_verb(i)
+                elif name == "begin":
+                    m = _REF_BEGIN_VERBATIM_RE.match(text, i)
+                    if m:
+                        pending_verbatim = (m.end(), m.group(1))
+            elif i + 1 < n:
+                tokens.append((TokenKind.COMMAND, text[i + 1], i, i + 2))
+                i += 2
+            else:
+                tokens.append((TokenKind.OTHER, "\\", i, n))
+                i = n
+        elif c == "%":
+            stop = text.find("\n", i)
+            if stop == -1:
+                tokens.append((TokenKind.LINE_COMMENT, text[i + 1 :], i, n))
+                i = n
+            else:
+                tokens.append((TokenKind.LINE_COMMENT, text[i + 1 : stop], i, stop + 1))
+                i = stop + 1
+        elif c in _REF_SINGLE_CHAR_KINDS:
+            tokens.append((_REF_SINGLE_CHAR_KINDS[c], c, i, i + 1))
+            i += 1
+        elif c.isspace():
+            m = _REF_WS_RE.match(text, i)
+            tokens.append((TokenKind.WHITESPACE, m.group(0), i, m.end()))
+            i = m.end()
+        elif c.isalnum():
+            m = _REF_ALNUM_RE.match(text, i)
+            tokens.append((TokenKind.WORD, m.group(0), i, m.end()))
+            i = m.end()
+        else:
+            tokens.append((TokenKind.OTHER, c, i, i + 1))
+            i += 1
+    return tokens
+
+
+def token_tuples(text):
+    return [(t.kind, t.value, t.start, t.end) for t in tokenize(text)]
+
+
+# TeX's special characters, ASCII letters and digits, line ends, non-ASCII
+# letters, digits, a combining mark and characters str.isspace counts as
+# space, and the fragments that open or close a verbatim region
+DIFFERENTIAL = st.lists(
+    st.sampled_from(
+        list("\\%{}[]$*|#_ \n\t\r" + ascii_letters + digits)
+        + ["\u00e9", "\u0663", "\u0301", "\x1c", "\x85", "\u2028", "\u00b2"]
+        + ["\\verb", "\\verb*", "\\begin{verbatim}", "\\end{verbatim}",
+           "\\begin{lstlisting}", "\\begin {verbatim*}"]
+    ),
+    max_size=60,
+).map("".join)
+
+
+class TestAgainstLoopTokenizer:
+    @given(DIFFERENTIAL)
+    @settings(max_examples=1000)
+    def test_same_tokens(self, text):
+        assert token_tuples(text) == loop_tokenize(text)
+
+    @pytest.mark.parametrize("doc", golden_docs.DOCS, ids=lambda doc: doc["id"])
+    def test_same_tokens_on_the_golden_corpus(self, doc):
+        texts = [golden_docs.assembled_text(doc)]
+        texts += [data.decode("utf-8", errors="replace") for _, data in doc["files"]]
+        for text in texts:
+            assert token_tuples(text) == loop_tokenize(text)
+
+    def test_views_read_the_columns(self):
+        text = "\\verb|%x| a{b}\\\\ %c\n\\begin{verbatim}%v\\end{verbatim}\\"
+        tokens = tokenize(text)
+        assert len(tokens.starts) == len(tokens) + 1
+        assert tokens.starts[-1] == len(text)
+        assert list(tokens) == [tokens[i] for i in range(len(tokens))]
+        assert tokens[-1] == Token(TokenKind.OTHER, "\\", len(text) - 1, len(text))
+        assert tokens[1:3] == list(tokens)[1:3]
+        with pytest.raises(IndexError):
+            tokens[len(tokens)]
 
 
 class TestComments:
@@ -204,13 +350,13 @@ class TestGroupClosers:
         # index:  0  1  2  3  4  5  6  7  8  9 10 11 12
         # token:  }  {  a  {  b  }  [  c  [  d  ]  ]  {
         expected = [-1, -1, -1, 5, -1, -1, 10, -1, 10, -1, -1, -1, -1]
-        assert group_closers(tokens) == expected
+        assert group_closers(tokens.kinds) == expected
 
     @given(BRACKETED)
     @settings(max_examples=500)
     def test_matches_rescan(self, source):
         tokens = tokenize(source)
-        assert group_closers(tokens) == rescan_closers(tokens)
+        assert group_closers(tokens.kinds) == rescan_closers(tokens)
 
 
 # the pieces that decide whether a backslash starts \input: escapes,
