@@ -22,6 +22,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import fields
 from datetime import date
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -488,8 +489,10 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
         if not args.words:
             raise UsageError("--between regions needs --words")
         by_doc = _words_by_doc(args.words)
-        text_words = (w for r in by_doc.values() for w in r["words"])
-        comment_words = (w for r in by_doc.values() for w in r["comment_words"])
+        text_words = chain.from_iterable(r["words"] for r in by_doc.values())
+        comment_words = chain.from_iterable(
+            r["comment_words"] for r in by_doc.values()
+        )
         table_a = build_table(text_words, filters)
         table_b = build_table(comment_words, filters)
         name_a, name_b = "text", "comments"
@@ -506,11 +509,10 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
             by_doc = _words_by_doc(args.words)
             key = "words" if args.basis == "text" else "comment_words"
 
-            def words_of(docs: list[FeatureVector]):
-                for fv in docs:
-                    record = by_doc.get(fv.doc_id)
-                    if record is not None:
-                        yield from record[key]
+            def words_of(docs: list[FeatureVector]) -> Iterator[str]:
+                return chain.from_iterable(
+                    by_doc[fv.doc_id][key] for fv in docs if fv.doc_id in by_doc
+                )
 
             table_a = build_table(words_of(docs_a), filters)
             table_b = build_table(words_of(docs_b), filters)
@@ -813,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--learning-rate", type=_learning_rate, default=0.5)
     p.add_argument("--l2", type=_l2_weight, default=1e-3)
-    p.add_argument("--max-epochs", type=int, default=5000)
+    p.add_argument("--max-epochs", type=_positive_int, default=5000)
     p.set_defaults(func=cmd_classify)
 
     return parser

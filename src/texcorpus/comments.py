@@ -102,11 +102,24 @@ def strip_line_comments(text: str) -> str:
     return "".join(_KEEP_RE.findall(text))
 
 
-_WS_RUN_RE = re.compile(r"\s+")
-
-
 def _normalize_tex(text: str) -> str:
-    return _WS_RUN_RE.sub(" ", strip_line_comments(text))
+    """Strip line comments, then make each whitespace run one space.
+
+    ``str.split()`` and ``str.isspace()`` test the same characters as
+    ``\\s`` in a ``str`` pattern, so this equals ``re.sub(r"\\s+", " ", t)``
+    on the stripped text ``t``, at about half the cost.
+    """
+    t = strip_line_comments(text)
+    if not t:
+        return t
+    collapsed = " ".join(t.split())
+    if not collapsed:
+        return " "
+    if t[0].isspace():
+        collapsed = " " + collapsed
+    if t[-1].isspace():
+        collapsed += " "
+    return collapsed
 
 
 def reference_oracle() -> NormalizingOracle:
@@ -158,26 +171,31 @@ def partition_maximal_comments(
     maximality off the matrix: extending [i, j] left tests entry
     (i-1, j), extending right tests (i, j+1). Raises
     OverlappingMaximalComments when two maximal comments share characters,
-    since then they do not form a partition of anything. ``max_calls``
-    defaults to 10 * n**2.
+    since then they do not form a partition of anything.
+
+    ``max_calls`` caps the oracle's total ``calls``, those made before this
+    partition included; OracleBudgetExceeded is raised, before any call,
+    when the matrix does not fit under it. The default, None, sets no cap.
     """
     n = len(s)
     if n == 0:
         return []
-    if max_calls is None:
-        max_calls = 10 * n * n
     needed = n * (n + 1) // 2
-    budget_left = max_calls - oracle.calls
-    if needed > budget_left:
-        raise OracleBudgetExceeded(
-            f"need {needed} oracle calls but only {budget_left} remain"
-        )
+    if max_calls is not None:
+        budget_left = max_calls - oracle.calls
+        if needed > budget_left:
+            raise OracleBudgetExceeded(
+                f"need {needed} oracle calls but only {budget_left} remain"
+            )
 
-    # comment[i][j] for 1 <= i <= j <= n, stored sparsely as a set of pairs
+    # comment[i][j] for 1 <= i <= j <= n, stored sparsely as a set of pairs;
+    # queried row by row, each deletion being _delete(s, i, j)
+    equivalent = oracle.equivalent
     is_com: set[tuple[int, int]] = set()
     for i in range(1, n + 1):
+        head = s[: i - 1]
         for j in range(i, n + 1):
-            if oracle.equivalent(s, _delete(s, i, j)):
+            if equivalent(s, head + s[j:]):
                 is_com.add((i, j))
 
     maximal: list[tuple[int, int]] = []
@@ -199,7 +217,11 @@ def semantic_comments(
     oracle: NormalizingOracle | None = None,
     max_calls: int | None = None,
 ) -> list[CommentSpan]:
-    """Maximal comments of s as CommentSpan records."""
+    """Maximal comments of s as CommentSpan records.
+
+    ``oracle`` defaults to a fresh ``reference_oracle()``; ``max_calls`` is
+    passed to ``partition_maximal_comments``.
+    """
     if oracle is None:
         oracle = reference_oracle()
     spans = partition_maximal_comments(s, oracle, max_calls=max_calls)

@@ -77,16 +77,17 @@ def build_table(
     undefined.
     """
     stopwords = load_stopwords() if filters.drop_stopwords else frozenset()
-    counts: Counter[str] = Counter()
-    total = 0
-    for word in words:
-        if len(word) < filters.min_length or word in stopwords:
-            continue
-        counts[word] += 1
-        total += 1
+    # counted before filtering, so each distinct word is tested once; the
+    # survivors keep their first-occurrence order
+    counts = {
+        word: count
+        for word, count in Counter(words).items()
+        if len(word) >= filters.min_length and word not in stopwords
+    }
+    total = sum(counts.values())
     if total == 0:
         raise EmptyCorpus("no words passed the filters")
-    return FrequencyTable(counts=dict(counts), total=total, filters=filters)
+    return FrequencyTable(counts=counts, total=total, filters=filters)
 
 
 def package_incidence(features: Iterable[FeatureVector]) -> FrequencyTable:

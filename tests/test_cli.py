@@ -604,6 +604,10 @@ class TestClassify:
         + [
             ("--l2", l2, "a finite number of at least 0")
             for l2 in ("nan", "inf", "1e400", "-1")
+        ]
+        + [
+            ("--max-epochs", epochs, "an integer of at least 1")
+            for epochs in ("0", "-5")
         ],
     )
     def test_training_option_out_of_range_is_usage_error(

@@ -1,5 +1,8 @@
 """Comment extraction: the formal oracle model and both syntactic methods."""
 
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,8 @@ from texcorpus.comments import (
     NormalizingOracle,
     OracleBudgetExceeded,
     OverlappingMaximalComments,
+    _delete,
+    _normalize_tex,
     comment_words,
     detect_ignore_macros,
     extract_line_comments,
@@ -25,6 +30,12 @@ from texcorpus.errors import Diagnostic
 from texcorpus.lexer import tokenize
 
 COMMENTISH = st.text(alphabet="ab%\n ", max_size=12)
+# ASCII, C1 and Unicode whitespace, the zero-width space (not whitespace),
+# comment and escape characters, letters and NUL
+WHITESPACE_TEX = st.text(
+    alphabet=" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u200b%\\ab\x00",
+    max_size=40,
+)
 
 
 def loop_strip_line_comments(text):
@@ -61,6 +72,18 @@ def brute_force_maximal(s, oracle):
     return found
 
 
+class RecordingOracle(NormalizingOracle):
+    """The reference oracle, keeping every (first, second) pair it is asked."""
+
+    def __init__(self):
+        super().__init__(_normalize_tex)
+        self.queries = []
+
+    def equivalent(self, first, second):
+        self.queries.append((first, second))
+        return super().equivalent(first, second)
+
+
 class TestReferenceOracle:
     def test_strip_removes_comment_keeps_newline(self):
         assert strip_line_comments("a %x\nb") == "a \nb"
@@ -76,6 +99,21 @@ class TestReferenceOracle:
     @given(st.text(alphabet="a \\%\n\t{é", max_size=60))
     def test_strip_matches_character_loop(self, text):
         assert strip_line_comments(text) == loop_strip_line_comments(text)
+
+    @settings(max_examples=1000)
+    @given(WHITESPACE_TEX)
+    def test_normalize_matches_regex_collapse(self, text):
+        assert _normalize_tex(text) == re.sub(r"\s+", " ", strip_line_comments(text))
+
+    def test_split_and_regex_agree_on_whitespace(self):
+        # _normalize_tex relies on str.split() and str.isspace() splitting on
+        # exactly the characters \s matches in a str pattern
+        every = "".join(
+            chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF
+        )
+        spaces = [c for c in every if c.isspace()]
+        assert re.findall(r"\s", every) == spaces
+        assert "".join(every.split()) == "".join(re.split(r"\s", every))
 
     def test_equivalence_collapses_whitespace(self):
         oracle = reference_oracle()
@@ -186,13 +224,28 @@ class TestPartition:
         n = len(s)
         assert oracle.calls == n * (n + 1) // 2
 
-    def test_default_budget_is_ten_n_squared(self):
-        s = "ab%c"
-        oracle = reference_oracle()
-        for _ in range(10 * len(s) ** 2 - len(s) * (len(s) + 1) // 2):
-            oracle.equivalent("x", "x")
-        # exactly enough budget left
-        partition_maximal_comments(s, oracle)
+    def test_no_default_budget_on_shared_oracle(self):
+        # the 406 calls spent on the long string exceed 10 * n**2 for the
+        # short one, which must not count against it
+        shared = reference_oracle()
+        partition_maximal_comments("a%first line\nb%second line\nc", shared)
+        short = "a%b\nc"
+        fresh = partition_maximal_comments(short, reference_oracle())
+        assert partition_maximal_comments(short, shared) == fresh == [(2, 3)]
+        assert shared.calls == 406 + 15
+
+    @given(COMMENTISH)
+    @settings(max_examples=100, deadline=None)
+    def test_queries_every_deletion_once_in_row_major_order(self, s):
+        oracle = RecordingOracle()
+        try:
+            partition_maximal_comments(s, oracle)
+        except OverlappingMaximalComments:
+            pass
+        n = len(s)
+        assert oracle.queries == [
+            (s, _delete(s, i, j)) for i in range(1, n + 1) for j in range(i, n + 1)
+        ]
 
     @given(COMMENTISH)
     @settings(max_examples=200, deadline=None)

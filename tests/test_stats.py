@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from datetime import date
 
 import numpy as np
@@ -17,6 +18,7 @@ from texcorpus.stats import (
     EmptyCorpus,
     FilterMismatch,
     FilterSpec,
+    FrequencyTable,
     build_table,
     discriminative,
     grouped_means,
@@ -27,6 +29,22 @@ from texcorpus.stats import (
 )
 
 NO_FILTERS = FilterSpec(drop_stopwords=False, min_length=1)
+
+
+def loop_build_table(words, filters):
+    """The per-word loop build_table used to be: the reference its
+    count-then-filter form is checked against."""
+    stopwords = load_stopwords() if filters.drop_stopwords else frozenset()
+    counts = Counter()
+    total = 0
+    for word in words:
+        if len(word) < filters.min_length or word in stopwords:
+            continue
+        counts[word] += 1
+        total += 1
+    if total == 0:
+        raise EmptyCorpus("no words passed the filters")
+    return FrequencyTable(counts=dict(counts), total=total, filters=filters)
 
 
 def make_fv(**overrides):
@@ -84,6 +102,28 @@ class TestFrequencyTable:
             build_table([], NO_FILTERS)
         with pytest.raises(EmptyCorpus):
             build_table(["the", "of"])  # everything filtered
+
+    @settings(max_examples=300)
+    @given(
+        words=st.lists(
+            st.sampled_from(["the", "of", "a", "ab", "kernel", "protocol", ""])
+            | st.text(alphabet="abt", max_size=4),
+            max_size=30,
+        ),
+        drop_stopwords=st.booleans(),
+        min_length=st.integers(-1, 5),
+    )
+    def test_matches_word_loop(self, words, drop_stopwords, min_length):
+        filters = FilterSpec(drop_stopwords=drop_stopwords, min_length=min_length)
+        try:
+            expected = loop_build_table(words, filters)
+        except EmptyCorpus:
+            with pytest.raises(EmptyCorpus):
+                build_table(iter(words), filters)
+            return
+        got = build_table(iter(words), filters)
+        assert got == expected
+        assert list(got.counts) == list(expected.counts)
 
     def test_stopword_list_is_plausible(self):
         stops = load_stopwords()
