@@ -230,7 +230,20 @@ def train_classifier(
     positive_category: str,
     config: TrainConfig = TrainConfig(),
 ) -> LogisticModel:
-    """Fit a model predicting membership in ``positive_category``."""
+    """Fit a model predicting membership in ``positive_category``.
+
+    Raises SingleClass, naming the category, when the training split is
+    empty or holds one category, or holds no ``positive_category`` document.
+    """
+    present = sorted({fv.category for fv in features})
+    if not present:
+        raise SingleClass("the training split is empty")
+    if len(present) == 1:
+        raise SingleClass(f"the training split holds only category {present[0]!r}")
+    if positive_category not in present:
+        raise SingleClass(
+            f"the training split holds no document of category {positive_category!r}"
+        )
     X = features_matrix(features)
     y = labels_for(features, positive_category)
     return fit(

@@ -359,12 +359,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if args.words:
             words_out = stack.enter_context(NdjsonWriter(args.words, WORDS_SCHEMA))
 
-        if args.jobs > 1:
+        # the pool starts every worker at the first submit, so never more
+        # workers than documents
+        workers = min(args.jobs, len(ids))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             # about four chunks a worker: few round trips, balanced ends
-            chunksize = max(1, len(ids) // (4 * args.jobs))
+            chunksize = max(1, len(ids) // (4 * workers))
             results = pool.map(
                 _extract_one, [root] * len(ids), ids, chunksize=chunksize
             )
@@ -466,6 +469,8 @@ def _pick_categories(features: list[FeatureVector], names: str | None) -> tuple[
         parts = [part.strip() for part in names.split(",") if part.strip()]
         if len(parts) != 2:
             raise UsageError("--categories needs exactly two comma-separated names")
+        if parts[0] == parts[1]:
+            raise UsageError(f"--categories names {parts[0]!r} twice; pick two")
         for part in parts:
             if part not in present:
                 raise UsageError(f"category {part!r} not present in features")

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -203,6 +204,24 @@ class TestExtract:
                 path.unlink()
             outputs = run_extract(corpus40, jobs=jobs)
             assert tuple(path.read_bytes() for path in outputs) == serial
+
+    def test_pool_has_no_more_workers_than_documents(self, corpus, monkeypatch):
+        import concurrent.futures
+
+        serial = tuple(path.read_bytes() for path in run_extract(corpus, jobs=1))
+        real_pool = concurrent.futures.ProcessPoolExecutor
+        sizes = []
+
+        def guarded_pool(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            if max_workers is None or max_workers > len(DOCS):
+                raise AssertionError(f"{max_workers} workers for {len(DOCS)} documents")
+            return real_pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", guarded_pool)
+        outputs = run_extract(corpus, jobs=64)
+        assert sizes == [len(DOCS)]
+        assert tuple(path.read_bytes() for path in outputs) == serial
 
     @pytest.mark.parametrize("flag", ["--out", "--comments", "--words"])
     def test_unwritable_output_fails_before_extracting(
@@ -476,6 +495,21 @@ class TestDiscriminate:
         )
         assert code == 2
 
+    def test_same_category_twice_is_usage_error(self, corpus, capsys):
+        out, _, words = run_extract(corpus)
+        code = main(
+            [
+                "discriminate",
+                "--features", str(out),
+                "--words", str(words),
+                "--out", str(corpus / "d"),
+                "--categories", "cs.AI, cs.AI",
+            ]
+        )
+        assert code == 2
+        assert "--categories names 'cs.AI' twice" in capsys.readouterr().err
+        assert not (corpus / "d").exists()
+
     def test_negative_k_is_usage_error(self, corpus, capsys):
         out, _, _ = run_extract(corpus)
         code = main(
@@ -578,6 +612,50 @@ class TestClassify:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "categories, message",
+        [
+            ([], "the training split is empty"),
+            (["cs"] * 4, "the training split holds only category 'cs'"),
+            (
+                ["math", "bio", "math", "bio"],
+                "the training split holds no document of category 'cs'",
+            ),
+        ],
+    )
+    def test_training_split_without_two_classes_is_usage_error(
+        self, tmp_path, capsys, categories, message
+    ):
+        from texcorpus.classify import train_test_split
+
+        # one record more than `categories`: the default split holds it out
+        # for testing, and it is the one positive document
+        vectors = two_class_corpus(len(categories) + 1, seed=4)
+        _, (held_out,) = train_test_split(vectors)
+        named = iter(categories)
+        vectors = [
+            dataclasses.replace(
+                fv, category="cs" if fv is held_out else next(named)
+            )
+            for fv in vectors
+        ]
+        features = tmp_path / "features.ndjson"
+        self.write_features(features, vectors)
+        code = main(
+            [
+                "classify",
+                "--features", str(features),
+                "--positive", "cs",
+                "--model", str(tmp_path / "m"),
+                "--report", str(tmp_path / "r"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "labels contain" not in err
+        assert sorted(os.listdir(tmp_path)) == ["features.ndjson"]
 
     def test_test_fraction_outside_zero_one_is_usage_error(self, tmp_path, capsys):
         code = main(

@@ -105,6 +105,47 @@ class TestReferenceOracle:
     def test_normalize_matches_regex_collapse(self, text):
         assert _normalize_tex(text) == re.sub(r"\s+", " ", strip_line_comments(text))
 
+    @settings(max_examples=1000)
+    @given(WHITESPACE_TEX)
+    def test_normalize_never_lengthens(self, text):
+        # the reference oracle's length check rests on this
+        assert len(_normalize_tex(text)) <= len(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WHITESPACE_TEX, min_size=1, max_size=3), st.data())
+    def test_oracle_answers_as_normal_forms_compare(self, firsts, data):
+        oracle = reference_oracle()
+        queries = 0
+        for s in firsts:
+            spans = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(1, max(1, len(s))), st.integers(0, len(s))
+                    ),
+                    max_size=20,
+                )
+            )
+            for i, j in spans:
+                d = s[: i - 1] + s[max(i - 1, j) :]
+                assert oracle.equivalent(s, d) == (
+                    _normalize_tex(s) == _normalize_tex(d)
+                )
+                queries += 1
+            assert oracle.calls == queries
+
+    def test_custom_normalize_sees_every_query(self):
+        # a normalization that expands a macro lengthens its input, so a
+        # NormalizingOracle given one must not reject by length
+        seen = []
+
+        def expand(text):
+            seen.append(text)
+            return text.replace("\\x", "xxxx")
+
+        oracle = NormalizingOracle(expand)
+        assert oracle.equivalent("axxxx", "a\\x")
+        assert seen == ["axxxx", "a\\x"]
+
     def test_split_and_regex_agree_on_whitespace(self):
         # _normalize_tex relies on str.split() and str.isspace() splitting on
         # exactly the characters \s matches in a str pattern
@@ -233,6 +274,31 @@ class TestPartition:
         fresh = partition_maximal_comments(short, reference_oracle())
         assert partition_maximal_comments(short, shared) == fresh == [(2, 3)]
         assert shared.calls == 406 + 15
+
+    def test_reference_oracle_skips_deletions_shorter_than_normal_form(
+        self, monkeypatch
+    ):
+        normalized = []
+
+        def counting(text):
+            normalized.append(text)
+            return _normalize_tex(text)
+
+        monkeypatch.setattr("texcorpus.comments._normalize_tex", counting)
+        s = "a%first line\nb%second  line\n\tc"
+        target = len(_normalize_tex(s))
+        n = len(s)
+        oracle = reference_oracle()
+        spans = partition_maximal_comments(s, oracle)
+        assert spans == partition_maximal_comments(s, NormalizingOracle(_normalize_tex))
+        assert oracle.calls == n * (n + 1) // 2
+        kept = sum(
+            1
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+            if n - (j - i + 1) >= target
+        )
+        assert len(normalized) == 1 + kept
 
     @given(COMMENTISH)
     @settings(max_examples=100, deadline=None)
