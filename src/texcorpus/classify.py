@@ -160,7 +160,9 @@ def fit(
         raise ShapeMismatch(f"{X.shape[0]} rows but {len(y)} labels")
     classes = np.unique(y)
     if len(classes) < 2:
-        raise SingleClass(f"labels contain only {classes}")
+        raise SingleClass(
+            f"labels contain only {classes[0]:g}" if len(classes) else "there are no labels"
+        )
 
     diagnostics: list[Diagnostic] = []
     means = X.mean(axis=0)

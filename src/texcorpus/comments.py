@@ -296,30 +296,18 @@ def detect_ignore_macros(tokens: TokenStream) -> set[str]:
         if i < resume:
             continue
         command = tokens.values[i]
-        if command in ("newcommand", "renewcommand"):
-            name, empty, nxt = _parse_newcommand(tokens, i + 1)
-            if name is not None:
-                if command == "newcommand":
-                    if name not in defined:
-                        defined.add(name)
-                        if empty:
-                            ignore.add(name)
-                else:
-                    defined.add(name)
-                    if empty:
-                        ignore.add(name)
-                    else:
-                        ignore.discard(name)
-                resume = nxt
+        parse = _parse_def if command == "def" else _parse_newcommand
+        name, empty, nxt = parse(tokens, i + 1)
+        if name is None:
+            continue
+        resume = nxt
+        if command == "newcommand" and name in defined:
+            continue
+        defined.add(name)
+        if empty:
+            ignore.add(name)
         else:
-            name, empty, nxt = _parse_def(tokens, i + 1)
-            if name is not None:
-                defined.add(name)
-                if empty:
-                    ignore.add(name)
-                else:
-                    ignore.discard(name)
-                resume = nxt
+            ignore.discard(name)
     return ignore
 
 

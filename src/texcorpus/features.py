@@ -9,7 +9,6 @@ the main file.
 
 from __future__ import annotations
 
-import posixpath
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -37,30 +36,9 @@ from .lexer import (
     _next_significant,
     alphabetic_words,
     detect_main_file,
-    scan_commands,
+    input_references,
     tokenize,
 )
-
-_BRACED_ARG_RE = re.compile(r"[ \t]*\{([^{}%\n]*)\}")
-_BARE_ARG_RE = re.compile(r"[ \t]+([A-Za-z0-9_\-./]+)")
-
-
-def _resolve_target(name: str, current: str, texts: dict[str, str]) -> str | None:
-    """Map an \\input argument to a file path present in texts."""
-    candidates = [name]
-    if not name.endswith(".tex"):
-        candidates.append(name + ".tex")
-    directory = posixpath.dirname(current)
-    if directory:
-        joined = posixpath.normpath(posixpath.join(directory, name))
-        candidates.append(joined)
-        if not joined.endswith(".tex"):
-            candidates.append(joined + ".tex")
-    for candidate in candidates:
-        if candidate in texts:
-            return candidate
-    return None
-
 
 def inline_sources(
     texts: dict[str, str],
@@ -71,38 +49,22 @@ def inline_sources(
 
     Each file is inlined at most once; repeated references and cycles are
     dropped with a diagnostic. References to files not in the document are
-    kept verbatim, also with a diagnostic. \\input inside comments or
-    verbatim text is never expanded, since it does not tokenize as a
-    command there. Files are not tokenized: ``scan_commands`` finds the
-    commands exactly where ``tokenize`` would, without building tokens. A
-    file whose text does not contain ``\\input`` or ``\\include`` is
-    returned as it is, without scanning it.
+    kept verbatim, also with a diagnostic. The references are those of
+    ``input_references``, so \\input inside comments or verbatim text is
+    never expanded, and files are not tokenized.
     """
     visited: set[str] = set()
 
     def process(path: str) -> str:
         visited.add(path)
         source = texts[path]
-        if "\\input" not in source and "\\include" not in source:
-            return source
         parts: list[str] = []
         last = 0
-        for command, start, end in scan_commands(source, ("input", "include")):
-            if start < last:
-                continue
-            m = _BRACED_ARG_RE.match(source, end)
-            if m is None and command == "input":
-                m = _BARE_ARG_RE.match(source, end)
-            if m is None:
-                continue
-            name = m.group(1).strip()
-            if not name:
-                continue
-            target = _resolve_target(name, path, texts)
+        for command, start, end, name, target in input_references(texts, path):
             parts.append(source[last:start])
-            last = m.end()
+            last = end
             if target is None:
-                parts.append(source[start : m.end()])
+                parts.append(source[start:end])
                 if diagnostics is not None:
                     diagnostics.append(
                         Diagnostic(

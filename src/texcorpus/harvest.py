@@ -36,6 +36,10 @@ DEFAULT_DELAY = 3.0
 DEFAULT_SIZE_CAP = 256 * 1024 * 1024
 # retries of one listing page after a rate limit or a transport failure
 MAX_RETRIES = 3
+# The longest Retry-After honoured, in seconds. A value that is not a number
+# from 0 to this counts as absent, so the backoff applies: time.sleep refuses
+# NaN, a negative number or one near 1e10, and a longer wait stalls a harvest.
+MAX_RETRY_AFTER = 86_400.0
 
 
 def api_base() -> str:
@@ -118,9 +122,12 @@ def _raise_for_status(status: int, headers: dict, url: str) -> None:
         raw = headers.get("Retry-After") or headers.get("retry-after")
         if raw is not None:
             try:
-                retry_after = float(raw)
+                seconds = float(raw)
             except ValueError:
-                retry_after = None
+                pass
+            else:
+                if 0 <= seconds <= MAX_RETRY_AFTER:
+                    retry_after = seconds
         raise RateLimited(status, url, retry_after)
     if status >= 400:
         raise HttpError(status, url)
@@ -168,6 +175,9 @@ _NS = {
 
 _VERSION_RE = re.compile(r"v\d+$")
 _PAGES_RE = re.compile(r"(\d+)\s*pages?\b", re.IGNORECASE)
+# the largest page count a features record holds: above 2**53 a float
+# cannot hold every integer
+MAX_PAGE_COUNT = 2**53 - 1
 
 
 def _entry_id(raw: str) -> str:
@@ -185,7 +195,7 @@ def parse_listing_feed(xml_bytes: bytes) -> FeedPage:
 
     Raises FeedParseError on malformed XML or entries missing an id or
     publication date. Page counts come from the free-text comment field
-    when it mentions them; otherwise they are None.
+    when it mentions one from 1 to MAX_PAGE_COUNT; otherwise they are None.
     """
     try:
         root = ET.fromstring(xml_bytes)
@@ -225,9 +235,12 @@ def parse_listing_feed(xml_bytes: bytes) -> FeedPage:
             primary = categories[0]
         comment = entry.findtext("arxiv:comment", namespaces=_NS) or ""
         pages_match = _PAGES_RE.search(comment)
-        page_count = int(pages_match.group(1)) if pages_match else None
-        if page_count is not None and page_count < 1:
-            page_count = None
+        page_count = None
+        if pages_match:
+            # int() refuses a string of over 4,300 digits
+            digits = pages_match.group(1).lstrip("0")
+            if 0 < len(digits) <= 16 and int(digits) <= MAX_PAGE_COUNT:
+                page_count = int(digits)
         records.append(
             PaperRecord(
                 id=_entry_id(raw_id),
@@ -287,9 +300,9 @@ def harvest_listing(
 
     Waits ``delay`` seconds between page requests. A page that is
     rate-limited or fails in transport is retried up to MAX_RETRIES times,
-    after the server's Retry-After or an exponential backoff. Pages that
-    only repeat known ids stop the walk, as does reaching the feed's
-    reported total.
+    after the server's Retry-After, when it is from 0 to MAX_RETRY_AFTER
+    seconds, or else an exponential backoff. Pages that only repeat known
+    ids stop the walk, as does reaching the feed's reported total.
     """
     if delay is None:
         delay = default_delay()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import posixpath
 import re
+from collections import Counter
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from datetime import date
@@ -269,6 +270,58 @@ def scan_commands(text: str, names: Collection[str]) -> Iterator[tuple[str, int,
                 i = region[3]
 
 
+_BRACED_ARG_RE = re.compile(r"[ \t]*\{([^{}%\n]*)\}")
+_BARE_ARG_RE = re.compile(r"[ \t]+([A-Za-z0-9_\-./]+)")
+
+
+def _resolve_target(name: str, current: str, texts: dict[str, str]) -> str | None:
+    """Map an \\input argument to a file path present in texts."""
+    candidates = [name]
+    if not name.endswith(".tex"):
+        candidates.append(name + ".tex")
+    directory = posixpath.dirname(current)
+    if directory:
+        joined = posixpath.normpath(posixpath.join(directory, name))
+        candidates.append(joined)
+        if not joined.endswith(".tex"):
+            candidates.append(joined + ".tex")
+    for candidate in candidates:
+        if candidate in texts:
+            return candidate
+    return None
+
+
+def input_references(
+    texts: dict[str, str], path: str
+) -> Iterator[tuple[str, int, int, str, str | None]]:
+    """(command, start, end, name, target) of each \\input/\\include in
+    ``texts[path]`` that names a file, in order.
+
+    text[start:end] is the command with its argument, ``{name}`` or, for
+    \\input only, a bare name. ``target`` is the path in ``texts`` that
+    ``name`` resolves to from ``path``, or None. References are found by
+    ``scan_commands``, so none inside a comment or verbatim text counts,
+    and none inside the argument of another.
+    """
+    text = texts[path]
+    if "\\input" not in text and "\\include" not in text:
+        return
+    last = 0
+    for command, start, end in scan_commands(text, ("input", "include")):
+        if start < last:
+            continue
+        m = _BRACED_ARG_RE.match(text, end)
+        if m is None and command == "input":
+            m = _BARE_ARG_RE.match(text, end)
+        if m is None:
+            continue
+        name = m.group(1).strip()
+        if not name:
+            continue
+        last = m.end()
+        yield command, start, last, name, _resolve_target(name, path, texts)
+
+
 class TokenStream:
     """The tokens of one source as three parallel columns, with its brace
     table and its command index.
@@ -393,32 +446,15 @@ class SourceDocument:
 
 
 _CLASS_MARKER_RE = re.compile(r"\\document(?:class|style)\b")
-_BRACED_INPUT_RE = re.compile(r"\\(?:input|include)\s*\{([^{}%\n]+)\}")
-_BARE_INPUT_RE = re.compile(r"\\input[ \t]+([A-Za-z0-9_\-./]+)")
-
-
-def _input_targets(text: str) -> set[str]:
-    targets = set(m.group(1).strip() for m in _BRACED_INPUT_RE.finditer(text))
-    targets.update(m.group(1) for m in _BARE_INPUT_RE.finditer(text))
-    return {t for t in targets if t}
-
-
-def _names_for(path: str) -> set[str]:
-    names = {path}
-    if path.endswith(".tex"):
-        names.add(path[:-4])
-    base = posixpath.basename(path)
-    names.add(base)
-    if base.endswith(".tex"):
-        names.add(base[:-4])
-    return names
 
 
 def detect_main_file(files: list[tuple[str, bytes]]) -> str:
     """Pick the file that declares \\documentclass or \\documentstyle.
 
-    Ties are broken by preferring candidates that fewer other files pull in
-    via \\input/\\include, then by lexicographically smallest path.
+    Ties are broken by preferring candidates that fewer other files pull in,
+    counting a reference exactly when ``input_references`` resolves it to
+    the candidate, as inlining does; then by lexicographically smallest
+    path.
     """
     if not files:
         raise NoMainFile("document has no files")
@@ -428,15 +464,8 @@ def detect_main_file(files: list[tuple[str, bytes]]) -> str:
         raise NoMainFile("no file contains \\documentclass or \\documentstyle")
     if len(candidates) == 1:
         return candidates[0]
-
-    def inbound_references(candidate: str) -> int:
-        names = _names_for(candidate)
-        count = 0
-        for path, text in texts.items():
-            if path == candidate:
-                continue
-            if _input_targets(text) & names:
-                count += 1
-        return count
-
-    return min(candidates, key=lambda path: (inbound_references(path), path))
+    inbound: Counter[str] = Counter()
+    for path in texts:
+        targets = {target for *_, target in input_references(texts, path)}
+        inbound.update(targets - {path, None})
+    return min(candidates, key=lambda path: (inbound[path], path))

@@ -95,8 +95,10 @@ class TestMatrix:
 class TestFit:
     def test_single_class_raises(self):
         X = np.random.default_rng(0).normal(size=(10, 3))
-        with pytest.raises(SingleClass):
+        with pytest.raises(SingleClass, match=r"^labels contain only 1$"):
             fit(X, np.ones(10), feature_names=("a", "b", "c"))
+        with pytest.raises(SingleClass, match=r"^there are no labels$"):
+            fit(X[:0], np.ones(0), feature_names=("a", "b", "c"))
 
     def test_all_constant_raises(self):
         X = np.ones((10, 2))

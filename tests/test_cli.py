@@ -194,6 +194,21 @@ class TestExtract:
             fv = parse_feature_record(record)
             assert feature_record(fv) == record
 
+    def test_largest_page_count_is_read_back(self, tmp_path):
+        CorpusStore(tmp_path / "corpus").save(
+            SourceDocument(
+                id="cs/0001",
+                files=[("main.tex", DOCS[0][4])],
+                category="cs.AI",
+                page_count=harvest.MAX_PAGE_COUNT,
+            )
+        )
+        out, _, _ = run_extract(tmp_path)
+        [record] = read_ndjson(out, FEATURES_SCHEMA)
+        assert record["pages"] == harvest.MAX_PAGE_COUNT
+        assert feature_record(parse_feature_record(record)) == record
+        assert main(["stats", "--features", str(out), "--out", str(tmp_path / "s")]) == 0
+
     def test_parallel_matches_serial(self, corpus40):
         # 40 documents make chunks of 5 at --jobs 2 and of 3 at --jobs 3
         outputs = run_extract(corpus40, jobs=1)

@@ -436,6 +436,14 @@ class TestIgnoreMacroDetection:
         tokens = tokenize("\\newcommand{\\x}[1]{}\n\\renewcommand{\\x}[1]{#1}")
         assert detect_ignore_macros(tokens) == set()
 
+    def test_def_rebinds_a_newcommand(self):
+        tokens = tokenize("\\newcommand{\\x}[1]{}\n\\def\\x#1{#1}")
+        assert detect_ignore_macros(tokens) == set()
+
+    def test_newcommand_does_not_rebind_a_def(self):
+        tokens = tokenize("\\def\\x#1{}\n\\newcommand{\\x}[1]{#1}")
+        assert detect_ignore_macros(tokens) == {"x"}
+
 
 class TestMacroComments:
     def source_spans(self, source, ignore_macros=None, diagnostics=None):

@@ -12,6 +12,7 @@ import requests
 
 from texcorpus.cli import main
 from texcorpus.harvest import (
+    MAX_PAGE_COUNT,
     ArchiveCorrupt,
     CorpusStore,
     CorruptMeta,
@@ -115,6 +116,12 @@ class TestFeedParsing:
             ("35 Pages, color figures", 35),
             ("no page info", None),
             ("latex, 10pt", None),
+            ("0 pages", None),
+            ("007 pages", 7),
+            ("9007199254740991 pages", MAX_PAGE_COUNT),
+            ("9007199254740992 pages", None),
+            ("10000000000000000 pages", None),
+            ("1" * 5000 + " pages", None),
         ]:
             page = parse_listing_feed(feed([entry(comment=comment)]))
             assert page.records[0].page_count == expected, comment
@@ -246,6 +253,31 @@ class TestHarvestListing:
         assert len(records) == 1
         assert len(attempts) == 3
         assert naps == [2.0, 4.0]  # exponential backoff
+
+    @pytest.mark.parametrize("header", ["nan", "-5", "inf", "-inf", "1e20", "soon"])
+    def test_unusable_retry_after_backs_off(self, header):
+        attempts = []
+
+        def fetch(url, params=None, timeout=30.0):
+            attempts.append(1)
+            if len(attempts) < 3:
+                return (429, {"Retry-After": header}, b"")
+            return (200, {}, feed([entry()]))
+
+        naps = []
+        records = harvest_listing("cs.AI", 1, fetch=fetch, delay=1.0, sleep=naps.append)
+        assert len(records) == 1
+        assert naps == [2.0, 4.0]
+
+    def test_unusable_retry_after_ends_in_rate_limited(self):
+        def fetch(url, params=None, timeout=30.0):
+            return (503, {"Retry-After": "nan"}, b"")
+
+        naps = []
+        with pytest.raises(RateLimited) as err:
+            harvest_listing("cs.AI", 1, fetch=fetch, delay=1.0, sleep=naps.append)
+        assert err.value.retry_after is None
+        assert naps == [2.0, 4.0, 8.0]
 
     def test_gives_up_after_max_retries(self):
         attempts = []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_docs
+from texcorpus.features import inline_sources
 from texcorpus.lexer import (
     NoMainFile,
     SourceDocument,
@@ -491,6 +492,61 @@ class TestMainFileDetection:
             detect_main_file([("a.tex", b"plain"), ("b.tex", b"text")])
         with pytest.raises(NoMainFile):
             detect_main_file([])
+
+    def test_commented_reference_does_not_count(self):
+        files = [
+            ("main.tex", b"\\documentclass{article}\n\\input{body}\n"),
+            ("body.tex", b"Body text.\n"),
+            ("reply.tex", b"\\documentclass{letter} % old: \\input{main}\n"),
+        ]
+        assert detect_main_file(files) == "main.tex"
+
+    def test_verbatim_reference_does_not_count(self):
+        files = [
+            ("main.tex", b"\\documentclass{article}\nText.\n"),
+            (
+                "notes.tex",
+                b"\\documentclass{article}\n"
+                b"\\begin{verbatim}\\input{main}\\end{verbatim}\n",
+            ),
+        ]
+        assert detect_main_file(files) == "main.tex"
+
+    def test_reference_counts_only_where_it_resolves(self):
+        # from z.tex, "main" names main.tex or main, never a/main.tex
+        files = [
+            ("a/main.tex", b"\\documentclass{article}\n"),
+            ("z.tex", b"\\documentclass{article}\n\\input{main}\n"),
+        ]
+        assert detect_main_file(files) == "a/main.tex"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "\\input{a}",
+                        "% \\input{a}",
+                        "\\begin{verbatim}\\input{a}\\end{verbatim}",
+                        "\\verb|\\input{a}|",
+                        "\\input{x/a}",
+                        "\\input a",
+                        "text",
+                    ]
+                ),
+                st.sampled_from(["\n", " ", ""]),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300)
+    def test_reference_counts_exactly_when_inlining_follows_it(self, pieces):
+        a = "\\documentclass{article}\nMARKER\n"
+        b = "\\documentclass{article}\n" + "".join(p + sep for p, sep in pieces)
+        texts = {"a.tex": a, "b.tex": b}
+        files = [(path, text.encode()) for path, text in texts.items()]
+        followed = "MARKER" in inline_sources(texts, "b.tex")
+        assert (detect_main_file(files) == "b.tex") == followed
 
 
 class TestSourceDocument:
