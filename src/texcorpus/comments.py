@@ -7,12 +7,20 @@ view of the document unchanged, and a maximal comment when it cannot be
 extended by one character in either direction and still be a comment. The
 partition routine finds all maximal comments of a string by filling the full
 comment matrix, so maximality costs no oracle calls beyond the matrix itself.
+
+The oracle fills the matrix (``NormalizingOracle.comment_pairs``). A
+general oracle asks one equivalence query per entry, each normalizing a
+deletion of up to n characters, so O(n^3) for a string of length n. The
+reference oracle's normalization is a finite-state transducer, which lets
+it answer every entry in one forward and one backward pass, in time linear
+in n plus the number of comments found; it still counts n(n+1)/2 calls.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import Diagnostic, TexcorpusError
 from .lexer import (
@@ -87,6 +95,23 @@ class NormalizingOracle:
             cached = self._last_first = (first, self._normalize(first))
         return cached[1] == self._normalize(second)
 
+    def comment_pairs(self, s: str) -> set[tuple[int, int]]:
+        """The comment matrix of s: every 1-based closed pair (i, j) whose
+        deletion from s is equivalent to s.
+
+        Asks ``equivalent`` once per pair, row by row (i ascending, then j),
+        so it makes exactly n(n+1)/2 calls for a string of length n.
+        """
+        n = len(s)
+        equivalent = self.equivalent
+        pairs: set[tuple[int, int]] = set()
+        for i in range(1, n + 1):
+            head = s[: i - 1]
+            for j in range(i, n + 1):
+                if equivalent(s, head + s[j:]):
+                    pairs.add((i, j))
+        return pairs
+
 
 # An escape pair, a run of ordinary text or a lone trailing backslash is
 # kept; a comment (% up to, not including, the newline) matches no group.
@@ -122,10 +147,44 @@ def _normalize_tex(text: str) -> str:
     return collapsed
 
 
+# _normalize_tex as a left-to-right transducer. Its state after a prefix is
+# one of: in text, or in a % comment, each knowing whether the last kept
+# character was whitespace; or just past a kept backslash, whose next
+# character is kept whatever it is (the last kept character is then the
+# backslash, so this state needs no whitespace bit). Each character moves
+# to one next state and emits at most one character: a space for the first
+# of a whitespace run, otherwise the character itself.
+_STATES = 5
+_TEXT, _TEXT_WS, _ESCAPE, _COMMENT, _COMMENT_WS = range(_STATES)
+_BACKSLASH, _PERCENT, _NEWLINE, _SPACE, _OTHER = range(5)
+_CLASSES = {"\\": _BACKSLASH, "%": _PERCENT, "\n": _NEWLINE}
+# _TRANSITIONS[class][state] is next state << 1 | 1 if a character is emitted
+_TRANSITIONS = tuple(
+    tuple(next_state << 1 | emits for next_state, emits in row)
+    for row in (
+        # each row lists the steps from _TEXT, _TEXT_WS, _ESCAPE, _COMMENT
+        # and _COMMENT_WS, in that order; _BACKSLASH:
+        ((_ESCAPE, 1), (_ESCAPE, 1), (_TEXT, 1), (_COMMENT, 0), (_COMMENT_WS, 0)),
+        # _PERCENT:
+        ((_COMMENT, 0), (_COMMENT_WS, 0), (_TEXT, 1), (_COMMENT, 0), (_COMMENT_WS, 0)),
+        # _NEWLINE, which ends a comment, then counts as whitespace:
+        ((_TEXT_WS, 1), (_TEXT_WS, 0), (_TEXT_WS, 1), (_TEXT_WS, 1), (_TEXT_WS, 0)),
+        # _SPACE, any other whitespace:
+        ((_TEXT_WS, 1), (_TEXT_WS, 0), (_TEXT_WS, 1), (_COMMENT, 0), (_COMMENT_WS, 0)),
+        # _OTHER:
+        ((_TEXT, 1), (_TEXT, 1), (_TEXT, 1), (_COMMENT, 0), (_COMMENT_WS, 0)),
+    )
+)
+
+
 class _ReferenceOracle(NormalizingOracle):
     """NormalizingOracle over ``_normalize_tex``, which never lengthens its
     input: a second string shorter than the first's normal form cannot
-    normalize to it, so it is answered False without being normalized."""
+    normalize to it, so it is answered False without being normalized.
+
+    ``comment_pairs`` answers the whole matrix at once through the
+    transducer above, in time linear in len(s) plus the number of pairs.
+    """
 
     def __init__(self):
         super().__init__(_normalize_tex)
@@ -137,6 +196,66 @@ class _ReferenceOracle(NormalizingOracle):
             cached = self._last_first = (first, _normalize_tex(first))
         target = cached[1]
         return len(second) >= len(target) and _normalize_tex(second) == target
+
+    def comment_pairs(self, s: str) -> set[tuple[int, int]]:
+        """The same pairs as the per-query loop, and the same n(n+1)/2 calls
+        counted, without normalizing any deletion.
+
+        Deleting s[a:b] leaves s[:a] + s[b:], whose normal form is the
+        output of s[:a] followed by the output of s[b:] run from the state
+        s[:a] ends in. The output of s[:a] is always a prefix of the normal
+        form T of s, so the deletion is a comment exactly when the output of
+        s[b:] from that state is the rest of T. A forward pass files each
+        row i = a + 1 by (state, characters of T left after s[:a]); a
+        backward pass carries, for every state, the length of the output of
+        s[b:] when that output is a suffix of T, and pairs b with the rows
+        i <= b filed under it.
+        """
+        n = len(s)
+        self.calls += n * (n + 1) // 2
+        target = _normalize_tex(s)
+        left = len(target)
+        classes = [
+            _CLASSES.get(c, _SPACE if c.isspace() else _OTHER) for c in s
+        ]
+
+        # rows[state][left]: the rows i = a + 1, ascending, whose s[:a] ends
+        # in state with left characters of target still to come
+        rows: list[dict[int, list[int]]] = [{} for _ in range(_STATES)]
+        filed_in = []  # filed_in[i - 1]: the list row i is in
+        state = _TEXT
+        for i, cls in enumerate(classes, 1):
+            filed = rows[state].setdefault(left, [])
+            filed.append(i)
+            filed_in.append(filed)
+            step = _TRANSITIONS[cls][state]
+            state = step >> 1
+            left -= step & 1
+
+        pairs: set[tuple[int, int]] = set()
+        size = len(target)
+        # tail[state]: length of the output of s[b:] from state, or -1 when
+        # that output is not a suffix of target
+        tail = [0] * _STATES
+        for b in range(n, 0, -1):
+            for by_left, length in zip(rows, tail):
+                found = by_left.get(length)
+                if found:
+                    pairs.update(zip(found, repeat(b)))
+            # row b is the last in its list, and pairs with no smaller b
+            filed_in[b - 1].pop()
+            cls = classes[b - 1]
+            emitted = " " if cls in (_NEWLINE, _SPACE) else s[b - 1]
+            shifted = []
+            for step in _TRANSITIONS[cls]:
+                length = tail[step >> 1]
+                if step & 1 and length >= 0:
+                    length += 1
+                    if length > size or target[-length] != emitted:
+                        length = -1
+                shifted.append(length)
+            tail = shifted
+        return pairs
 
 
 def reference_oracle() -> NormalizingOracle:
@@ -184,9 +303,12 @@ def partition_maximal_comments(
 ) -> list[tuple[int, int]]:
     """All maximal comments of s, in increasing position order.
 
-    Fills the whole comment matrix (n(n+1)/2 oracle calls), then reads
-    maximality off the matrix: extending [i, j] left tests entry
-    (i-1, j), extending right tests (i, j+1). Raises
+    Has the oracle fill the whole comment matrix (``comment_pairs``,
+    n(n+1)/2 oracle calls), then reads maximality off the matrix: extending
+    [i, j] left tests entry (i-1, j), extending right tests (i, j+1). With
+    ``reference_oracle()`` the matrix costs time linear in len(s) plus the
+    number of comments; an oracle built on another normalization answers
+    each entry with one query. Raises
     OverlappingMaximalComments when two maximal comments share characters,
     since then they do not form a partition of anything.
 
@@ -205,23 +327,13 @@ def partition_maximal_comments(
                 f"need {needed} oracle calls but only {budget_left} remain"
             )
 
-    # comment[i][j] for 1 <= i <= j <= n, stored sparsely as a set of pairs;
-    # queried row by row, each deletion being _delete(s, i, j)
-    equivalent = oracle.equivalent
-    is_com: set[tuple[int, int]] = set()
-    for i in range(1, n + 1):
-        head = s[: i - 1]
-        for j in range(i, n + 1):
-            if equivalent(s, head + s[j:]):
-                is_com.add((i, j))
-
-    maximal: list[tuple[int, int]] = []
-    for i, j in sorted(is_com):
-        if i > 1 and (i - 1, j) in is_com:
-            continue
-        if j < n and (i, j + 1) in is_com:
-            continue
-        maximal.append((i, j))
+    is_com = oracle.comment_pairs(s)
+    maximal = sorted(
+        (i, j)
+        for i, j in is_com
+        if (i == 1 or (i - 1, j) not in is_com)
+        and (j == n or (i, j + 1) not in is_com)
+    )
 
     for (i1, j1), (i2, j2) in zip(maximal, maximal[1:]):
         if i2 <= j1:

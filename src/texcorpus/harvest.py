@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import Diagnostic, TexcorpusError
-from .lexer import SourceDocument
+from .lexer import MAX_PAGE_COUNT, SourceDocument
 
 USER_AGENT = "texcorpus/0.1 (batch corpus harvester)"
 
@@ -175,9 +175,6 @@ _NS = {
 
 _VERSION_RE = re.compile(r"v\d+$")
 _PAGES_RE = re.compile(r"(\d+)\s*pages?\b", re.IGNORECASE)
-# the largest page count a features record holds: above 2**53 a float
-# cannot hold every integer
-MAX_PAGE_COUNT = 2**53 - 1
 
 
 def _entry_id(raw: str) -> str:

@@ -419,6 +419,11 @@ class NoMainFile(TexcorpusError):
     """No file in the document declares a document class or style."""
 
 
+# the largest page count a features record holds: above 2**53 a float
+# cannot hold every integer
+MAX_PAGE_COUNT = 2**53 - 1
+
+
 @dataclass
 class SourceDocument:
     """One paper: its files, main file, and harvest metadata."""
@@ -434,8 +439,10 @@ class SourceDocument:
         paths = [path for path, _ in self.files]
         if self.main_file is not None and self.main_file not in paths:
             raise ValueError(f"main_file {self.main_file!r} not among files")
-        if self.page_count is not None and self.page_count < 1:
-            raise ValueError("page_count must be >= 1 when present")
+        if self.page_count is not None and not 1 <= self.page_count <= MAX_PAGE_COUNT:
+            raise ValueError(
+                f"page_count must be from 1 to {MAX_PAGE_COUNT} when present"
+            )
 
     @property
     def multi_file(self) -> bool:

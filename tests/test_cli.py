@@ -28,7 +28,7 @@ from texcorpus.cli import (
 )
 from texcorpus.features import FeatureVector
 from texcorpus.harvest import CorpusStore
-from texcorpus.lexer import SourceDocument
+from texcorpus.lexer import MAX_PAGE_COUNT, SourceDocument
 
 DOCS = [
     (
@@ -200,14 +200,39 @@ class TestExtract:
                 id="cs/0001",
                 files=[("main.tex", DOCS[0][4])],
                 category="cs.AI",
-                page_count=harvest.MAX_PAGE_COUNT,
+                page_count=MAX_PAGE_COUNT,
             )
         )
         out, _, _ = run_extract(tmp_path)
         [record] = read_ndjson(out, FEATURES_SCHEMA)
-        assert record["pages"] == harvest.MAX_PAGE_COUNT
+        assert record["pages"] == MAX_PAGE_COUNT
         assert feature_record(parse_feature_record(record)) == record
         assert main(["stats", "--features", str(out), "--out", str(tmp_path / "s")]) == 0
+
+    def test_page_count_above_the_largest_is_corrupt_meta(self, corpus, capsys):
+        # a features record cannot hold it, so the store must not load it
+        entry = corpus / "corpus" / "big_1"
+        (entry / "files").mkdir(parents=True)
+        (entry / "files" / "main.tex").write_bytes(DOCS[0][4])
+        meta = {
+            "schema": "texcorpus.corpus.v1",
+            "id": "big/1",
+            "category": "cs.AI",
+            "timestamp": "2001-01-02",
+            "page_count": 10000000000000000,
+            "main_file": None,
+            "files": ["main.tex"],
+        }
+        (entry / "meta.json").write_text(json.dumps(meta))
+        out, _, _ = run_extract(corpus)
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [
+            f"[extract] big_1: big_1: page_count must be from 1 to {MAX_PAGE_COUNT} "
+            "when present"
+        ]
+        records = read_ndjson(out, FEATURES_SCHEMA)
+        assert [r["id"] for r in records] == ["cs/0001", "math/0002", "math/0003"]
+        assert main(["stats", "--features", str(out), "--out", str(corpus / "s")]) == 0
 
     def test_parallel_matches_serial(self, corpus40):
         # 40 documents make chunks of 5 at --jobs 2 and of 3 at --jobs 3

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,10 @@ from texcorpus.errors import Diagnostic
 from texcorpus.lexer import tokenize
 
 COMMENTISH = st.text(alphabet="ab%\n ", max_size=12)
+# what the reference normalizer treats specially: comment and escape
+# characters, the newline that ends a comment, ASCII and Unicode
+# whitespace; and letters and braces, which it keeps as they are
+ORACLE_TEXT = st.text(alphabet="%\\\n\r\t \x85\u3000ab{}", max_size=30)
 # ASCII, C1 and Unicode whitespace, the zero-width space (not whitespace),
 # comment and escape characters, letters and NUL
 WHITESPACE_TEX = st.text(
@@ -70,6 +75,14 @@ def brute_force_maximal(s, oracle):
             if is_maximal_comment(s, i, j, oracle):
                 found.append((i, j))
     return found
+
+
+def partition_or_overlap(s, oracle):
+    """The maximal comments, or the overlapping pair the partition raised on."""
+    try:
+        return partition_maximal_comments(s, oracle)
+    except OverlappingMaximalComments as exc:
+        return exc.first, exc.second
 
 
 class RecordingOracle(NormalizingOracle):
@@ -290,8 +303,15 @@ class TestPartition:
         n = len(s)
         oracle = reference_oracle()
         spans = partition_maximal_comments(s, oracle)
+        # the whole matrix at once normalizes no deletion, only s
+        assert normalized == [s]
         assert spans == partition_maximal_comments(s, NormalizingOracle(_normalize_tex))
         assert oracle.calls == n * (n + 1) // 2
+        # one query at a time, a deletion shorter than the normal form is
+        # answered by its length
+        normalized.clear()
+        one_by_one = reference_oracle()
+        pairs = NormalizingOracle.comment_pairs(one_by_one, s)
         kept = sum(
             1
             for i in range(1, n + 1)
@@ -299,6 +319,8 @@ class TestPartition:
             if n - (j - i + 1) >= target
         )
         assert len(normalized) == 1 + kept
+        assert one_by_one.calls == oracle.calls
+        assert pairs == oracle.comment_pairs(s)
 
     @given(COMMENTISH)
     @settings(max_examples=100, deadline=None)
@@ -340,6 +362,76 @@ class TestPartition:
         for i, j in spans:
             assert 1 <= i <= j <= len(s)
             assert is_maximal_comment(s, i, j, reference_oracle())
+
+    def test_reference_oracle_matrix_grows_linearly(self):
+        # four times the length: linear code measures about 4x, the matrix
+        # asked one query at a time about 64x
+        unit = "one%two\n\\%three four{x}\n"
+        strings = [unit * repeats for repeats in (5, 20)]
+        # least CPU time of each, taking turns so the machine's busy spells
+        # fall on both alike
+        best = [float("inf")] * 2
+        for _ in range(15):
+            for k, s in enumerate(strings):
+                start = time.process_time()
+                partition_maximal_comments(s, reference_oracle())
+                best[k] = min(best[k], time.process_time() - start)
+        assert best[1] / best[0] <= 24, f"{best[1] / best[0]:.1f}x"
+
+
+class TestCommentPairs:
+    """The reference oracle's whole-matrix answer against the per-query
+    loop it replaces, and the call contract it keeps."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(ORACLE_TEXT)
+    def test_reference_matches_the_per_query_loop(self, s):
+        loop = NormalizingOracle(_normalize_tex)
+        fast = reference_oracle()
+        assert fast.comment_pairs(s) == loop.comment_pairs(s)
+        assert fast.calls == loop.calls == len(s) * (len(s) + 1) // 2
+        assert partition_or_overlap(s, reference_oracle()) == partition_or_overlap(
+            s, NormalizingOracle(_normalize_tex)
+        )
+
+    @staticmethod
+    def used_oracle():
+        oracle = reference_oracle()
+        for second in ("a", "b", "a b"):
+            oracle.equivalent("a", second)
+        return oracle
+
+    def test_shared_oracle_counts_the_matrix_of_a_partition(self):
+        s = "a%x\nb%y\nc"
+        oracle = self.used_oracle()
+        spans = partition_maximal_comments(s, oracle)
+        assert spans == partition_maximal_comments(s, NormalizingOracle(_normalize_tex))
+        n = len(s)
+        assert oracle.calls == 3 + n * (n + 1) // 2
+
+    def test_shared_oracle_counts_the_matrix_of_an_overlap(self):
+        s = "a %x\nb"
+        oracle = self.used_oracle()
+        with pytest.raises(OverlappingMaximalComments):
+            partition_maximal_comments(s, oracle)
+        n = len(s)
+        assert oracle.calls == 3 + n * (n + 1) // 2
+
+    def test_budget_of_exactly_the_need_passes(self):
+        s = "a%x\nb"
+        need = len(s) * (len(s) + 1) // 2
+        oracle = self.used_oracle()
+        spans = partition_maximal_comments(s, oracle, max_calls=3 + need)
+        assert spans == [(2, 3)]
+        assert oracle.calls == 3 + need
+
+    def test_budget_one_below_the_need_spends_nothing(self):
+        s = "a%x\nb"
+        need = len(s) * (len(s) + 1) // 2
+        oracle = self.used_oracle()
+        with pytest.raises(OracleBudgetExceeded):
+            partition_maximal_comments(s, oracle, max_calls=3 + need - 1)
+        assert oracle.calls == 3
 
 
 class TestSemanticSpans:

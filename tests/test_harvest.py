@@ -12,7 +12,6 @@ import requests
 
 from texcorpus.cli import main
 from texcorpus.harvest import (
-    MAX_PAGE_COUNT,
     ArchiveCorrupt,
     CorpusStore,
     CorruptMeta,
@@ -32,7 +31,7 @@ from texcorpus.harvest import (
     query_listing,
     unpack,
 )
-from texcorpus.lexer import SourceDocument
+from texcorpus.lexer import MAX_PAGE_COUNT, SourceDocument
 
 FEED_HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -583,6 +582,7 @@ class TestMalformedMeta:
             {"files": None},
             {"id": 7},
             {"page_count": 0},
+            {"page_count": MAX_PAGE_COUNT + 1},
             {"page_count": "3"},
             {"page_count": True},
             {"timestamp": "2012-13-45"},
