@@ -1,15 +1,14 @@
 """Binary subject classifier over document features.
 
-Plain logistic regression trained with full-batch gradient descent on the
-L2-regularized log loss. No learned-model dependency: the loss, gradient and
-update rule are spelled out here, and training is deterministic given the
-same inputs and configuration.
+Plain logistic regression fitted by damped Newton steps on the
+L2-regularized log loss. No learned-model dependency: the loss, gradient,
+Hessian and step rule are spelled out here, and training is deterministic
+given the same inputs and configuration.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -43,10 +42,6 @@ class ShapeMismatch(TexcorpusError):
     """A feature matrix does not match the model's feature count."""
 
 
-class TrainingDiverged(TexcorpusError):
-    """The loss stopped being a finite number during training."""
-
-
 def features_matrix(features: Sequence[FeatureVector]) -> np.ndarray:
     """Feature vectors as a float matrix with FEATURE_NAMES columns."""
     rows = [[float(getattr(fv, name)) for name in FEATURE_NAMES] for fv in features]
@@ -62,7 +57,6 @@ def labels_for(features: Sequence[FeatureVector], positive: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.5
     l2: float = 1e-3
     max_epochs: int = 5000
     tol: float = 1e-8
@@ -100,6 +94,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# After 60 halvings a Newton step moves the weights by less than rounding.
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -141,14 +139,16 @@ def fit(
     positive_category: str = "",
     config: TrainConfig = TrainConfig(),
 ) -> LogisticModel:
-    """Train by full-batch gradient descent from zero-initialized weights.
+    """Train by damped Newton steps from zero-initialized weights.
 
     Features are standardized to zero mean and unit variance first.
     Constant columns get a unit divisor instead; being identically zero
     after centering, they keep weight zero and a diagnostic records them.
-    Stops when an epoch improves the loss by less than ``config.tol`` or
-    after ``config.max_epochs``. Raises TrainingDiverged, naming the epoch,
-    when a step overflows the loss, as too large a learning rate makes it.
+    Each iteration solves for the Newton step over the other columns and
+    the bias, whose weight is not penalized, and halves the step until the
+    loss does not rise. Stops after ``config.max_epochs`` iterations, when
+    an accepted step improves the loss by less than ``config.tol``, or when
+    no halving lowers the loss.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -181,38 +181,42 @@ def fit(
         stds = np.where(constant, 1.0, stds)
     Xs = (X - means) / stds
 
-    weights = np.zeros(X.shape[1], dtype=np.float64)
+    # Newton runs over the non-constant columns and the bias; with l2 = 0
+    # a constant column would make the Hessian singular.
+    Xf = Xs[:, ~constant]
+    A = np.column_stack([Xf, np.ones(len(y))])
+    penalty = np.diag([config.l2] * Xf.shape[1] + [0.0])
+    w = np.zeros(Xf.shape[1], dtype=np.float64)
     bias = 0.0
-    loss, grad_w, grad_b = loss_and_gradient(weights, bias, Xs, y, config.l2)
+    loss, grad_w, grad_b = loss_and_gradient(w, bias, Xf, y, config.l2)
     epochs = 0
-    # an overflow shows as a loss that is not finite, checked each epoch
+    # a trial step whose loss overflows is rejected like one whose loss rises
     with np.errstate(over="ignore", invalid="ignore"):
-        for epochs in range(1, config.max_epochs + 1):
-            weights = weights - config.learning_rate * grad_w
-            bias = bias - config.learning_rate * grad_b
-            new_loss, grad_w, grad_b = loss_and_gradient(
-                weights, bias, Xs, y, config.l2
-            )
-            if not math.isfinite(new_loss):
-                raise TrainingDiverged(
-                    f"training diverged at epoch {epochs}: the loss is "
-                    f"{new_loss}; use a smaller learning rate"
-                )
-            if new_loss > loss:
-                diagnostics.append(
-                    Diagnostic(
-                        "fit",
-                        f"loss rose at epoch {epochs} "
-                        f"({loss:.6g} -> {new_loss:.6g}); stopping",
-                    )
-                )
-                loss = new_loss
+        while epochs < config.max_epochs:
+            p = _sigmoid(Xf @ w + bias)
+            hessian = (A.T * (p * (1.0 - p) / len(y))) @ A + penalty
+            # least squares, not solve: with l2 = 0 the Hessian is singular
+            # when there are fewer rows than columns or columns are collinear
+            step = np.linalg.lstsq(hessian, np.append(grad_w, grad_b), rcond=None)[0]
+            t = 1.0
+            for _ in range(_MAX_HALVINGS):
+                trial_w = w - t * step[:-1]
+                trial_b = bias - t * float(step[-1])
+                trial = loss_and_gradient(trial_w, trial_b, Xf, y, config.l2)
+                if trial[0] <= loss:
+                    break
+                t *= 0.5
+            else:
                 break
-            improved = loss - new_loss
-            loss = new_loss
+            epochs += 1
+            improved = loss - trial[0]
+            w, bias = trial_w, trial_b
+            loss, grad_w, grad_b = trial
             if improved < config.tol:
                 break
 
+    weights = np.zeros(X.shape[1], dtype=np.float64)
+    weights[~constant] = w
     return LogisticModel(
         feature_names=tuple(feature_names),
         weights=weights,
@@ -314,7 +318,7 @@ def evaluate(
     )
 
 
-MODEL_SCHEMA = "texcorpus.model.v1"
+MODEL_SCHEMA = "texcorpus.model.v2"
 
 
 def save_model(model: LogisticModel, path: str | Path) -> None:
@@ -328,7 +332,6 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
         "stds": [float(v) for v in model.stds],
         "positive_category": model.positive_category,
         "config": {
-            "learning_rate": model.config.learning_rate,
             "l2": model.config.l2,
             "max_epochs": model.config.max_epochs,
             "tol": model.config.tol,

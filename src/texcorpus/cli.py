@@ -634,7 +634,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         features, test_fraction=args.test_fraction, seed=args.seed
     )
     config = classify_mod.TrainConfig(
-        learning_rate=args.learning_rate,
         l2=args.l2,
         max_epochs=args.max_epochs,
     )
@@ -750,9 +749,6 @@ _open_fraction = _checked(
     float, lambda v: 0 < v < 1, "a number strictly between 0 and 1"
 )
 _delay = _checked(float, lambda v: 0 <= v <= 86400, "a number from 0 to 86400")
-_learning_rate = _checked(
-    float, lambda v: 0 < v < math.inf, "a finite number greater than 0"
-)
 _l2_weight = _checked(float, lambda v: 0 <= v < math.inf, "a finite number of at least 0")
 
 
@@ -818,7 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--test-fraction", type=_open_fraction, default=0.25)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--learning-rate", type=_learning_rate, default=0.5)
     p.add_argument("--l2", type=_l2_weight, default=1e-3)
     p.add_argument("--max-epochs", type=_positive_int, default=5000)
     p.set_defaults(func=cmd_classify)

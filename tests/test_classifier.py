@@ -1,9 +1,13 @@
 """Logistic regression: gradient correctness, training behavior, persistence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from synth import two_class_corpus
+from texcorpus.cli import parse_feature_record
 from texcorpus.classify import (
     FEATURE_NAMES,
     DegenerateFeatures,
@@ -111,9 +115,14 @@ class TestFit:
         signal = rng.normal(size=30)
         X = np.column_stack([signal, np.full(30, 7.0)])
         y = (signal > 0).astype(float)
-        model = fit(X, y, feature_names=("signal", "flat"))
-        assert model.weights[1] == 0.0
-        assert any("flat" in d.message for d in model.diagnostics)
+        # at l2 = 0 the constant column would make the Hessian singular
+        for l2 in (1e-3, 0.0):
+            model = fit(
+                X, y, feature_names=("signal", "flat"), config=TrainConfig(l2=l2)
+            )
+            assert model.weights[1] == 0.0
+            assert np.isfinite(model.weights[0]) and model.weights[0] > 0
+            assert any("flat" in d.message for d in model.diagnostics)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -131,10 +140,39 @@ class TestFit:
         predictions = model.predict(X)
         assert np.mean(predictions == y) > 0.95
 
+    def test_halved_steps_fit_separable_data_without_penalty(self):
+        # heavy-tailed and separable: here full Newton steps overshoot and
+        # raise the loss above its starting value
+        rng = np.random.default_rng(2)
+        X = rng.exponential(size=(40, 2)) ** 3
+        y = (X[:, 0] > X[:, 1]).astype(float)
+        model = fit(X, y, feature_names=("a", "b"), config=TrainConfig(l2=0.0))
+        assert np.all(np.isfinite(model.weights))
+        assert model.final_loss < 1e-6
+
+    def test_collinear_columns_without_penalty(self):
+        # at l2 = 0 a column that mirrors another makes the Hessian singular
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=60)
+        y = (x + rng.normal(size=60) > 0).astype(float)
+        model = fit(
+            np.column_stack([x, -x]),
+            y,
+            feature_names=("x", "minus_x"),
+            config=TrainConfig(l2=0.0),
+        )
+        assert model.weights[0] > 0
+        assert model.weights[1] == pytest.approx(-model.weights[0])
+
     def test_loss_never_increases_under_default_config(self):
         corpus = two_class_corpus(400, seed=3)
         model = train_classifier(corpus, "cs")
-        assert not any("loss rose" in d.message for d in model.diagnostics)
+        losses = [
+            train_classifier(corpus, "cs", TrainConfig(max_epochs=k)).final_loss
+            for k in range(1, model.epochs_run + 1)
+        ]
+        assert losses == sorted(losses, reverse=True)
+        assert losses[-1] == model.final_loss
 
     def test_training_is_deterministic(self):
         corpus = two_class_corpus(300, seed=2)
@@ -149,6 +187,48 @@ class TestFit:
         model = train_classifier(corpus, "cs")
         with pytest.raises(ShapeMismatch):
             model.predict(np.ones((3, 2)))
+
+
+def gradient_descent_loss(Xs, y, l2, learning_rate=0.5, max_epochs=5000, tol=1e-8):
+    """The loss full-batch gradient descent reaches from zero weights."""
+    weights, bias = np.zeros(Xs.shape[1]), 0.0
+    loss, grad_w, grad_b = loss_and_gradient(weights, bias, Xs, y, l2)
+    for _ in range(max_epochs):
+        weights = weights - learning_rate * grad_w
+        bias = bias - learning_rate * grad_b
+        new_loss, grad_w, grad_b = loss_and_gradient(weights, bias, Xs, y, l2)
+        if loss - new_loss < tol:
+            return min(loss, new_loss)
+        loss = new_loss
+    return loss
+
+
+def golden_features():
+    entries = json.loads(
+        (Path(__file__).parent / "golden_expected.json").read_text(encoding="utf-8")
+    )
+    return [parse_feature_record(entry["features"]) for entry in entries]
+
+
+class TestOptimality:
+    @pytest.mark.parametrize(
+        "make_corpus, positive",
+        [(lambda: two_class_corpus(10_000, seed=0), "cs"), (golden_features, "cs.AI")],
+        ids=["synthetic", "golden"],
+    )
+    def test_fit_reaches_the_optimum(self, make_corpus, positive):
+        corpus = make_corpus()
+        config = TrainConfig()
+        model = train_classifier(corpus, positive, config)
+        Xs = (features_matrix(corpus) - model.means) / model.stds
+        y = labels_for(corpus, positive)
+        loss, grad_w, grad_b = loss_and_gradient(
+            model.weights, model.bias, Xs, y, config.l2
+        )
+        assert loss == pytest.approx(model.final_loss, rel=1e-12)
+        assert np.linalg.norm(np.append(grad_w, grad_b)) < 1e-6
+        assert model.final_loss <= gradient_descent_loss(Xs, y, config.l2)
+        assert 1 <= model.epochs_run <= 50
 
 
 class TestSplit:

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -614,7 +615,7 @@ class TestClassify:
         weight_rows = [r for r in records if r["record"] == "weight"]
         assert len(weight_rows) == 8
         saved = json.loads(model_path.read_text())
-        assert saved["schema"] == "texcorpus.model.v1"
+        assert saved["schema"] == "texcorpus.model.v2"
 
     def test_deterministic_outputs(self, tmp_path):
         vectors = two_class_corpus(120, seed=9)
@@ -716,10 +717,6 @@ class TestClassify:
     @pytest.mark.parametrize(
         "flag, value, requirement",
         [
-            ("--learning-rate", rate, "a finite number greater than 0")
-            for rate in ("nan", "inf", "-1", "0")
-        ]
-        + [
             ("--l2", l2, "a finite number of at least 0")
             for l2 in ("nan", "inf", "1e400", "-1")
         ]
@@ -744,25 +741,36 @@ class TestClassify:
         assert code == 2
         assert f"{value!r} is not {requirement}" in capsys.readouterr().err
 
-    def test_diverging_training_is_an_error_naming_the_epoch(self, tmp_path, capsys):
+    def test_separable_data_without_penalty_fits_finite_weights(
+        self, tmp_path, capsys
+    ):
+        # theorems alone tell the classes apart, so at --l2 0 the loss has
+        # no minimum and the weights would grow without bound
+        vectors = [
+            dataclasses.replace(fv, theorem_count=0 if fv.category == "cs" else 3)
+            for fv in two_class_corpus(40, seed=2)
+        ]
         features = tmp_path / "features.ndjson"
-        self.write_features(features, two_class_corpus(40, seed=2))
+        self.write_features(features, vectors)
+        model_path = tmp_path / "model.json"
         code = main(
             [
                 "classify",
                 "--features", str(features),
                 "--positive", "cs",
-                "--model", str(tmp_path / "model.json"),
+                "--model", str(model_path),
                 "--report", str(tmp_path / "r.ndjson"),
-                "--learning-rate", "1e308",
+                "--l2", "0",
                 "--max-epochs", "50",
             ]
         )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "training diverged at epoch 1: the loss is " in err
-        assert "internal:" not in err
-        assert sorted(os.listdir(tmp_path)) == ["features.ndjson"]
+        assert code == 0
+        assert "internal:" not in capsys.readouterr().err
+        saved = json.loads(model_path.read_text())
+        assert all(math.isfinite(w) for w in saved["weights"] + [saved["bias"]])
+        assert 1 <= saved["epochs_run"] <= 50
+        head = read_ndjson(tmp_path / "r.ndjson", CLASSIFY_SCHEMA)[0]
+        assert head["accuracy"] == 1.0
 
     def test_model_in_missing_directory_is_usage_error(self, tmp_path, capsys):
         features = tmp_path / "features.ndjson"
@@ -1186,7 +1194,6 @@ def analysis_argv(draw):
         argv += ["--test-fraction", draw(option("0.25", "0.5", "1"))]
         argv += ["--seed", draw(option("-2", "-1", "0", "7", str(2**70)))]
         argv += ["--max-epochs", draw(option("-1", "0", "20"))]
-        argv += ["--learning-rate", draw(option("0.5", "1e308", "0", "-1", "nan", "inf"))]
         argv += ["--l2", draw(option("0.001", "0", "1e308", "-1", "nan", "1e400"))]
     inputs = ["features"]
     if command == "discriminate" and draw(st.booleans()):
