@@ -196,8 +196,12 @@ def fit(
             p = _sigmoid(Xf @ w + bias)
             hessian = (A.T * (p * (1.0 - p) / len(y))) @ A + penalty
             # least squares, not solve: with l2 = 0 the Hessian is singular
-            # when there are fewer rows than columns or columns are collinear
-            step = np.linalg.lstsq(hessian, np.append(grad_w, grad_b), rcond=None)[0]
+            # when there are fewer rows than columns or columns are collinear.
+            # Scaled to a unit diagonal, lstsq's cutoff keeps the bias at huge l2.
+            d = np.sqrt(np.diag(hessian))
+            d[d == 0.0] = 1.0
+            g = np.append(grad_w, grad_b)
+            step = np.linalg.lstsq(hessian / np.outer(d, d), g / d, rcond=None)[0] / d
             t = 1.0
             for _ in range(_MAX_HALVINGS):
                 trial_w = w - t * step[:-1]

@@ -707,7 +707,7 @@ def cmd_harvest(args: argparse.Namespace) -> int:
         from_date=from_date,
         to_date=to_date,
         page_size=args.page_size,
-        delay=args.delay,
+        delay=harvest_mod.DEFAULT_DELAY if args.delay is None else args.delay,
     )
     _stderr_diagnostics(report.diagnostics)
     print(

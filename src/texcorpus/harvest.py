@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .errors import Diagnostic, TexcorpusError
 from .lexer import MAX_PAGE_COUNT, SourceDocument
@@ -34,7 +34,7 @@ DEFAULT_API_BASE = "http://export.arxiv.org/api/query"
 DEFAULT_SOURCE_BASE = "https://arxiv.org/e-print"
 DEFAULT_DELAY = 3.0
 DEFAULT_SIZE_CAP = 256 * 1024 * 1024
-# retries of one listing page after a rate limit or a transport failure
+# retries of one request after a rate limit or a transport failure
 MAX_RETRIES = 3
 # The longest Retry-After honoured, in seconds. A value that is not a number
 # from 0 to this counts as absent, so the backoff applies: time.sleep refuses
@@ -48,10 +48,6 @@ def api_base() -> str:
 
 def source_base() -> str:
     return os.environ.get("TEXCORPUS_SOURCE_BASE", DEFAULT_SOURCE_BASE)
-
-
-def default_delay() -> float:
-    return float(os.environ.get("TEXCORPUS_DELAY", str(DEFAULT_DELAY)))
 
 
 class HttpError(TexcorpusError):
@@ -102,6 +98,7 @@ class CorruptMeta(TexcorpusError):
 
 
 FetchFn = Callable[..., tuple[int, dict, bytes]]
+T = TypeVar("T")
 
 
 def http_fetch(
@@ -116,37 +113,44 @@ def http_fetch(
     return response.status_code, dict(response.headers), response.content
 
 
-def _raise_for_status(status: int, headers: dict, url: str) -> None:
-    if status in (429, 503):
-        retry_after = None
-        raw = headers.get("Retry-After") or headers.get("retry-after")
-        if raw is not None:
-            try:
-                seconds = float(raw)
-            except ValueError:
-                pass
-            else:
-                if 0 <= seconds <= MAX_RETRY_AFTER:
-                    retry_after = seconds
-        raise RateLimited(status, url, retry_after)
-    if status >= 400:
-        raise HttpError(status, url)
-
-
 def _request(
-    url: str, fetch: FetchFn, params: dict | None = None
+    url: str, fetch: FetchFn | None, params: dict | None = None
 ) -> tuple[dict, bytes]:
-    """GET through ``fetch``, returning (headers, body) of a success.
+    """One GET through ``fetch`` (default http_fetch); (headers, body) of a success.
 
     requests' ConnectionError and Timeout subclass OSError, so any OSError
-    becomes TransportError; an error status raises HttpError or RateLimited.
+    becomes TransportError. A 429 or 503 raises RateLimited, carrying its
+    Retry-After when that is a number from 0 to MAX_RETRY_AFTER; another
+    error status raises HttpError.
     """
     try:
-        status, headers, body = fetch(url, params=params)
+        status, headers, body = (fetch or http_fetch)(url, params=params)
     except OSError as exc:
         raise TransportError(f"transport error for {url}: {exc}") from exc
-    _raise_for_status(status, headers, url)
+    if status in (429, 503):
+        try:
+            retry_after = float(headers.get("Retry-After") or headers.get("retry-after"))
+        except (TypeError, ValueError):
+            retry_after = None
+        usable = retry_after is not None and 0 <= retry_after <= MAX_RETRY_AFTER
+        raise RateLimited(status, url, retry_after if usable else None)
+    if status >= 400:
+        raise HttpError(status, url)
     return headers, body
+
+
+def _retrying(call: Callable[[], T], delay: float, sleep: Callable[[float], None]) -> T:
+    """``call()``, retried up to MAX_RETRIES times after RateLimited or
+    TransportError; the last attempt's error propagates, as do all others.
+    Each retry waits for the server's usable Retry-After, or else
+    ``delay * 2**attempt``."""
+    for attempt in range(1, MAX_RETRIES + 1):
+        try:
+            return call()
+        except (RateLimited, TransportError) as exc:
+            wait = exc.retry_after if isinstance(exc, RateLimited) else None
+            sleep(delay * 2**attempt if wait is None else wait)
+    return call()
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,7 @@ def query_listing(
         "sortBy": "submittedDate",
         "sortOrder": "ascending",
     }
-    _, body = _request(api_base(), fetch or http_fetch, params)
+    _, body = _request(api_base(), fetch, params)
     page = parse_listing_feed(body)
     records = [r for r in page.records if r.primary_category == category]
     return records, page
@@ -290,42 +294,24 @@ def harvest_listing(
     from_date: date | None = None,
     to_date: date | None = None,
     fetch: FetchFn | None = None,
-    delay: float | None = None,
+    delay: float = DEFAULT_DELAY,
     sleep: Callable[[float], None] = time.sleep,
 ) -> list[PaperRecord]:
     """Page through the listing until max_records unique papers are seen.
 
-    Waits ``delay`` seconds between page requests. A page that is
-    rate-limited or fails in transport is retried up to MAX_RETRIES times,
-    after the server's Retry-After, when it is from 0 to MAX_RETRY_AFTER
-    seconds, or else an exponential backoff. Pages that only repeat known
-    ids stop the walk, as does reaching the feed's reported total.
+    Waits ``delay`` seconds between page requests. Each page request is
+    retried as ``_retrying`` says; a page that still fails raises. Pages
+    that only repeat known ids stop the walk, as does reaching the feed's
+    reported total.
     """
-    if delay is None:
-        delay = default_delay()
     seen: dict[str, PaperRecord] = {}
     start = 0
     while len(seen) < max_records:
-        attempt = 0
-        while True:
-            try:
-                records, page = query_listing(
-                    category,
-                    start=start,
-                    page_size=page_size,
-                    from_date=from_date,
-                    to_date=to_date,
-                    fetch=fetch,
-                )
-                break
-            except (RateLimited, TransportError) as exc:
-                attempt += 1
-                if attempt > MAX_RETRIES:
-                    raise
-                wait = exc.retry_after if isinstance(exc, RateLimited) else None
-                if wait is None:
-                    wait = delay * (2**attempt)
-                sleep(wait)
+        records, page = _retrying(
+            lambda: query_listing(category, start, page_size, from_date, to_date, fetch),
+            delay,
+            sleep,
+        )
         if not page.records:
             break
         new = 0
@@ -662,7 +648,7 @@ def fetch_source(
 ) -> tuple[bytes, str | None]:
     """Download one paper's source payload; returns (bytes, content type)."""
     url = f"{source_base().rstrip('/')}/{paper_id}"
-    headers, body = _request(url, fetch or http_fetch)
+    headers, body = _request(url, fetch)
     content_type = headers.get("Content-Type") or headers.get("content-type")
     return body, content_type
 
@@ -675,18 +661,17 @@ def harvest_into_store(
     to_date: date | None = None,
     page_size: int = 100,
     fetch: FetchFn | None = None,
-    delay: float | None = None,
+    delay: float = DEFAULT_DELAY,
     sleep: Callable[[float], None] = time.sleep,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> HarvestReport:
     """List papers in a category, download their sources, store them.
 
-    Soft failures (unsupported payloads, corrupt archives, HTTP and
-    transport errors on single papers) are counted and reported as
-    diagnostics; they never abort the run.
+    Waits ``delay`` seconds before each download; downloads are retried
+    like listing pages, as ``_retrying`` says. A paper that still fails to
+    download, is unsupported or corrupt, or cannot be written to the store
+    is counted and reported as a diagnostic; it never aborts the run.
     """
-    if delay is None:
-        delay = default_delay()
     report = HarvestReport()
     records = harvest_listing(
         category,
@@ -705,7 +690,9 @@ def harvest_into_store(
             continue
         sleep(delay)
         try:
-            payload, content_type = fetch_source(record.id, fetch=fetch)
+            payload, content_type = _retrying(
+                lambda: fetch_source(record.id, fetch=fetch), delay, sleep
+            )
             file_type = classify_payload(payload, content_type)
             doc = unpack(
                 payload,
@@ -731,6 +718,13 @@ def harvest_into_store(
             report.failed += 1
             report.diagnostics.append(Diagnostic("harvest", str(exc)))
             continue
-        store.save(doc)
-        report.stored += 1
+        try:
+            store.save(doc)
+        except OSError as exc:
+            report.failed += 1
+            report.diagnostics.append(
+                Diagnostic("harvest", f"{record.id}: could not store: {exc}")
+            )
+        else:
+            report.stored += 1
     return report

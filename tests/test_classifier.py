@@ -164,6 +164,15 @@ class TestFit:
         assert model.weights[0] > 0
         assert model.weights[1] == pytest.approx(-model.weights[0])
 
+    @pytest.mark.parametrize("l2", [1e15, 1e20, 1e308])
+    def test_huge_penalty_still_fits_the_unpenalized_bias(self, l2):
+        # the weights are held at ~0, so the bias is the log-odds of the
+        # labels; an unscaled least-squares cutoff of about l2 dropped it
+        X = np.random.default_rng(6).normal(size=(100, 2))
+        y = np.array([1.0] * 80 + [0.0] * 20)
+        model = fit(X, y, feature_names=("a", "b"), config=TrainConfig(l2=l2))
+        assert model.bias == pytest.approx(np.log(80 / 20), rel=1e-6)
+
     def test_loss_never_increases_under_default_config(self):
         corpus = two_class_corpus(400, seed=3)
         model = train_classifier(corpus, "cs")

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 import requests
 
+from texcorpus import harvest
 from texcorpus.cli import main
 from texcorpus.harvest import (
+    MAX_RETRIES,
     ArchiveCorrupt,
     CorpusStore,
     CorruptMeta,
@@ -85,6 +87,32 @@ def tar_gz(members):
             info.size = len(data)
             tf.addfile(info, io.BytesIO(data))
     return gzip.compress(buf.getvalue())
+
+
+def source(members=(("main.tex", b"\\documentclass{article} body"),)):
+    return (200, {"Content-Type": "application/x-eprint-tar"}, tar_gz(members))
+
+
+def serve(listing, downloads):
+    """A fetch that answers any listing request with ``listing`` and each
+    download from its paper's list of responses, the last one repeating.
+    A response that is an exception is raised. ``fetch.fetches`` records
+    the paper id of each download."""
+    fetches = []
+
+    def fetch(url, params=None, timeout=30.0):
+        if params is not None:
+            return (200, {}, listing)
+        paper_id = url.split("/e-print/", 1)[1]
+        fetches.append(paper_id)
+        responses = downloads[paper_id]
+        response = responses.pop(0) if len(responses) > 1 else responses[0]
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+    fetch.fetches = fetches
+    return fetch
 
 
 class TestFeedParsing:
@@ -695,3 +723,95 @@ class TestHarvestIntoStore:
         assert diagnostic.stage == "harvest"
         assert "transport error" in diagnostic.message
         assert "/cs/1" in diagnostic.message
+
+    @pytest.mark.parametrize(
+        "fault, backoff",
+        [
+            ((503, {"Retry-After": "0"}, b""), 0.0),
+            ((429, {}, b""), 1.0),
+            (requests.ConnectionError("connection reset"), 1.0),
+        ],
+        ids=["503-retry-after-0", "429", "connection-reset"],
+    )
+    def test_one_shot_download_fault_is_retried(self, tmp_path, fault, backoff):
+        fetch = serve(feed([entry(paper_id="cs/1v1")]), {"cs/1": [fault, source()]})
+        naps = []
+        store = CorpusStore(tmp_path)
+        report = harvest_into_store(
+            "cs.AI", 1, store, fetch=fetch, delay=0.5, sleep=naps.append
+        )
+        assert (report.stored, report.failed) == (1, 0)
+        assert store.ids() == ["cs_1"]
+        assert fetch.fetches == ["cs/1", "cs/1"]
+        assert naps == [0.5, backoff]  # the pause before the download, the retry's
+        assert report.diagnostics == []
+
+    def test_download_that_stays_unavailable_fails_after_the_last_retry(self, tmp_path):
+        fetch = serve(feed([entry(paper_id="cs/1v1")]), {"cs/1": [(503, {}, b"")]})
+        naps = []
+        report = harvest_into_store(
+            "cs.AI", 1, CorpusStore(tmp_path), fetch=fetch, delay=0.5, sleep=naps.append
+        )
+        assert (report.stored, report.failed) == (0, 1)
+        assert fetch.fetches == ["cs/1"] * (MAX_RETRIES + 1)
+        assert naps == [0.5, 1.0, 2.0, 4.0]  # the pause, then 2d, 4d and 8d
+        [diagnostic] = report.diagnostics
+        assert diagnostic.message.startswith("HTTP 503 for ")
+
+    def test_not_found_is_not_retried(self, tmp_path):
+        fetch = serve(feed([entry(paper_id="cs/1v1")]), {"cs/1": [(404, {}, b"")]})
+        naps = []
+        report = harvest_into_store(
+            "cs.AI", 1, CorpusStore(tmp_path), fetch=fetch, delay=0.5, sleep=naps.append
+        )
+        assert (report.stored, report.failed) == (0, 1)
+        assert fetch.fetches == ["cs/1"]
+        assert naps == [0.5]
+
+
+UNSTORABLE = {
+    # the file ``a`` stands where the directory ``a/`` must go
+    "file-and-directory": source([("a", b"x"), ("a/main.tex", b"\\documentclass{article}")]),
+    "name-too-long": source([("x" * 296 + ".tex", b"\\documentclass{article}")]),
+}
+
+
+class TestStoreWriteFailure:
+    """A paper the store cannot write is counted as failed; the next is stored."""
+
+    def fetch(self, case):
+        listing = feed([entry(paper_id="cs/1v1"), entry(paper_id="cs/2v1")])
+        return serve(listing, {"cs/1": [UNSTORABLE[case]], "cs/2": [source()]})
+
+    @pytest.mark.parametrize("case", sorted(UNSTORABLE))
+    def test_harvest_into_store_goes_on(self, tmp_path, case):
+        store = CorpusStore(tmp_path)
+        report = harvest_into_store(
+            "cs.AI", 2, store, fetch=self.fetch(case), delay=0, sleep=lambda s: None
+        )
+        assert (report.listed, report.stored, report.failed) == (2, 1, 1)
+        assert store.ids() == ["cs_2"]
+        [diagnostic] = report.diagnostics
+        assert diagnostic.stage == "harvest"
+        assert diagnostic.message.startswith("cs/1: could not store: ")
+
+    @pytest.mark.parametrize("case", sorted(UNSTORABLE))
+    def test_harvest_command_goes_on(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.setattr(harvest, "http_fetch", self.fetch(case))
+        argv = ["harvest", "--category", "cs.AI", "--max", "2", "--delay", "0"]
+        assert main([*argv, "--store", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert (record["stored"], record["failed"]) == (1, 1)
+        assert "cs/1: could not store: " in err
+        assert CorpusStore(tmp_path).ids() == ["cs_2"]
+
+
+def test_harvest_reads_no_delay_from_the_environment(tmp_path, capsys, monkeypatch):
+    # The delay has one source, --delay; an environment variable once set it
+    # too, unchecked. Its name is split so that no search finds it in use.
+    monkeypatch.setenv("TEXCORPUS_" + "DELAY", "abc")
+    monkeypatch.setattr(harvest, "http_fetch", serve(feed([]), {}))
+    argv = ["harvest", "--category", "cs.AI", "--max", "1"]
+    assert main([*argv, "--store", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["listed"] == 0

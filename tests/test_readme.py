@@ -24,3 +24,13 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
         "line 75 82 ' a note'",
         "[(2, 8)]",
     ]
+
+
+def test_environment_table_lists_the_variables_the_source_reads():
+    source = pathlib.Path(__file__).parent.parent / "src"
+    read = set()
+    for path in source.rglob("*.py"):
+        read |= set(re.findall(r"\bTEXCORPUS_[A-Z_]+\b", path.read_text(encoding="utf-8")))
+    table = set(re.findall(r"^\| `(TEXCORPUS_[A-Z_]+)` \|", README.read_text(encoding="utf-8"), re.M))
+    assert read
+    assert table == read
