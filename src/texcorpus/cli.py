@@ -22,6 +22,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import fields
 from datetime import date
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -90,6 +91,10 @@ class NdjsonWriter:
 
     def write(self, obj: dict) -> None:
         self._handle.write(_dump(obj) + "\n")
+
+    def write_lines(self, text: str) -> None:
+        """Append records already serialized as finished lines."""
+        self._handle.write(text)
 
     def close(self) -> None:
         """Finish the file: move what was written onto the target."""
@@ -285,8 +290,10 @@ def _stderr_diagnostics(diagnostics: list[Diagnostic]) -> None:
 
 # ---------------------------------------------------------------- extract
 
-def _extract_one(root: str, doc_id: str) -> dict:
-    """Worker: extract one stored document into plain records."""
+def _extract_one(root: str, comments: bool, words: bool, doc_id: str) -> dict:
+    """Worker: extract one stored document into the finished ndjson lines
+    of its features record, and of its comments and words records when
+    asked for, so the parent only writes text."""
     from .harvest import CorpusStore
 
     store = CorpusStore(root)
@@ -295,27 +302,36 @@ def _extract_one(root: str, doc_id: str) -> dict:
         result = extract_document(doc)
     except TexcorpusError as exc:
         return {"id": doc_id, "error": str(exc)}
-    return {
+    features = result.features
+    lines = {
         "id": doc_id,
-        "features": feature_record(result.features),
-        "comments": [
-            {
-                "doc_id": result.features.doc_id,
-                "kind": span.kind,
-                "macro": span.macro,
-                "start": span.start,
-                "end": span.end,
-                "text": span.text,
-            }
-            for span in result.comments
-        ],
-        "words": {
-            "doc_id": result.features.doc_id,
-            "words": result.text_words,
-            "comment_words": result.comment_words,
-        },
+        "features": _dump(feature_record(features)) + "\n",
         "diagnostics": [str(d) for d in result.diagnostics],
     }
+    if comments:
+        lines["comments"] = "".join(
+            _dump(
+                {
+                    "doc_id": features.doc_id,
+                    "kind": span.kind,
+                    "macro": span.macro,
+                    "start": span.start,
+                    "end": span.end,
+                    "text": span.text,
+                }
+            )
+            + "\n"
+            for span in result.comments
+        )
+    if words:
+        lines["words"] = _dump(
+            {
+                "doc_id": features.doc_id,
+                "words": result.text_words,
+                "comment_words": result.comment_words,
+            }
+        ) + "\n"
+    return lines
 
 
 def _distinct_outputs(*paths: str | None) -> None:
@@ -359,6 +375,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if args.words:
             words_out = stack.enter_context(NdjsonWriter(args.words, WORDS_SCHEMA))
 
+        extract = partial(_extract_one, root, bool(args.comments), bool(args.words))
         # the pool starts every worker at the first submit, so never more
         # workers than documents
         workers = min(args.jobs, len(ids))
@@ -368,11 +385,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             # about four chunks a worker: few round trips, balanced ends
             chunksize = max(1, len(ids) // (4 * workers))
-            results = pool.map(
-                _extract_one, [root] * len(ids), ids, chunksize=chunksize
-            )
+            results = pool.map(extract, ids, chunksize=chunksize)
         else:
-            results = (_extract_one(root, doc_id) for doc_id in ids)
+            results = map(extract, ids)
 
         failures = 0
         for result in results:
@@ -380,12 +395,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 failures += 1
                 print(f"[extract] {result['id']}: {result['error']}", file=sys.stderr)
                 continue
-            features_out.write(result["features"])
+            features_out.write_lines(result["features"])
             if comments_out is not None:
-                for record in result["comments"]:
-                    comments_out.write(record)
+                comments_out.write_lines(result["comments"])
             if words_out is not None:
-                words_out.write(result["words"])
+                words_out.write_lines(result["words"])
             for line in result["diagnostics"]:
                 print(f"[extract] {result['id']}: {line}", file=sys.stderr)
         if failures == len(ids):

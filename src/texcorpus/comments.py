@@ -24,18 +24,12 @@ from itertools import repeat
 
 from .errors import Diagnostic, TexcorpusError
 from .lexer import (
-    _SKIPPABLE,
-    COMMAND,
-    GROUP_CLOSE,
     GROUP_OPEN,
     LINE_COMMENT,
-    OPT_CLOSE,
-    OPT_OPEN,
-    OTHER,
-    WORD,
     TokenStream,
     _next_significant,
     alphabetic_words,
+    kind_positions,
 )
 
 
@@ -368,13 +362,12 @@ def extract_line_comments(source: str, tokens: TokenStream) -> list[CommentSpan]
     """
     values, starts = tokens.values, tokens.starts
     spans: list[CommentSpan] = []
-    for i, kind in enumerate(tokens.kinds):
-        if kind is LINE_COMMENT:
-            text = values[i]
-            start = starts[i] + 1
-            spans.append(
-                CommentSpan(kind="line", start=start, end=start + len(text), text=text)
-            )
+    for i in kind_positions(tokens.kinds, LINE_COMMENT):
+        text = values[i]
+        start = starts[i] + 1
+        spans.append(
+            CommentSpan(kind="line", start=start, end=start + len(text), text=text)
+        )
     return spans
 
 
@@ -388,9 +381,7 @@ def _is_empty_body(tokens: TokenStream, open_idx: int) -> tuple[bool, int]:
     close = tokens.closers[open_idx]
     if close == -1:
         return False, len(tokens)
-    kinds = tokens.kinds
-    empty = all(kinds[k] in _SKIPPABLE for k in range(open_idx + 1, close))
-    return empty, close + 1
+    return _next_significant(tokens.kinds, open_idx + 1) == close, close + 1
 
 
 def detect_ignore_macros(tokens: TokenStream) -> set[str]:
@@ -408,11 +399,10 @@ def detect_ignore_macros(tokens: TokenStream) -> set[str]:
         if i < resume:
             continue
         command = tokens.values[i]
-        parse = _parse_def if command == "def" else _parse_newcommand
-        name, empty, nxt = parse(tokens, i + 1)
-        if name is None:
+        definition = _one_argument_definition(tokens, i)
+        if definition is None:
             continue
-        resume = nxt
+        name, empty, resume = definition
         if command == "newcommand" and name in defined:
             continue
         defined.add(name)
@@ -423,77 +413,38 @@ def detect_ignore_macros(tokens: TokenStream) -> set[str]:
     return ignore
 
 
-def _parse_newcommand(tokens: TokenStream, idx: int) -> tuple[str | None, bool, int]:
-    """Parse the tail of \\newcommand/\\renewcommand.
+# The tails of one-argument definitions, up to the body's opening brace,
+# as patterns over the lexer's kind codes: ``\\`` is a command, ``w`` a
+# word, ``.`` other, and a space or ``%`` a token that may separate two
+# significant ones. For \\newcommand and \\renewcommand: an optional
+# ``*``, then ``{\\x}`` or ``\\x``, then exactly ``[1]``; for \\def:
+# ``\\x#1``. The groups are the tokens whose values are read.
+_NEWCOMMAND_TAIL_RE = re.compile(
+    r"[ %]*(?:(\.)[ %]*)?(\{[ %]*)?(\\)(?(2)[ %]*\})[ %]*\[[ %]*(w)[ %]*\][ %]*\{"
+)
+_DEF_TAIL_RE = re.compile(r"[ %]*(\\)[ %]*(\.)(w)[ %]*\{")
 
-    Returns (macro name, body-is-empty, resume index); name is None when
-    the shape does not match a one-argument definition.
-    """
+
+def _one_argument_definition(
+    tokens: TokenStream, i: int
+) -> tuple[str, bool, int] | None:
+    """(macro name, body is empty, index past the body) of the definition
+    whose command is at i, or None when it does not define a macro of one
+    mandatory argument."""
     kinds, values = tokens.kinds, tokens.values
-    n = len(kinds)
-    idx = _next_significant(kinds, idx)
-    if idx < n and kinds[idx] is OTHER and values[idx] == "*":
-        idx = _next_significant(kinds, idx + 1)
-    if idx >= n:
-        return None, False, idx
-
-    # the \x being defined: either {\x} or bare \x
-    if kinds[idx] is GROUP_OPEN:
-        inner = _next_significant(kinds, idx + 1)
-        if inner >= n or kinds[inner] is not COMMAND:
-            return None, False, idx
-        name = values[inner]
-        close = _next_significant(kinds, inner + 1)
-        if close >= n or kinds[close] is not GROUP_CLOSE:
-            return None, False, idx
-        idx = close + 1
-    elif kinds[idx] is COMMAND:
-        name = values[idx]
-        idx += 1
+    if values[i] == "def":
+        m = _DEF_TAIL_RE.match(kinds, i + 1)
+        if m is None or values[m.start(2)] != "#" or values[m.start(3)] != "1":
+            return None
+        name = values[m.start(1)]
     else:
-        return None, False, idx
-
-    # require exactly [1]: one mandatory argument, no optional default
-    idx = _next_significant(kinds, idx)
-    if not (idx < n and kinds[idx] is OPT_OPEN):
-        return None, False, idx
-    arg = _next_significant(kinds, idx + 1)
-    if not (arg < n and kinds[arg] is WORD and values[arg] == "1"):
-        return None, False, idx
-    close = _next_significant(kinds, arg + 1)
-    if not (close < n and kinds[close] is OPT_CLOSE):
-        return None, False, idx
-    idx = _next_significant(kinds, close + 1)
-    if idx < n and kinds[idx] is OPT_OPEN:
-        # a default value makes the first argument optional; not a plain
-        # one-argument swallower
-        return None, False, idx
-
-    if not (idx < n and kinds[idx] is GROUP_OPEN):
-        return None, False, idx
-    empty, nxt = _is_empty_body(tokens, idx)
-    return name, empty, nxt
-
-
-def _parse_def(tokens: TokenStream, idx: int) -> tuple[str | None, bool, int]:
-    """Parse the tail of \\def\\x#1{...}."""
-    kinds, values = tokens.kinds, tokens.values
-    n = len(kinds)
-    idx = _next_significant(kinds, idx)
-    if idx >= n or kinds[idx] is not COMMAND:
-        return None, False, idx
-    name = values[idx]
-    idx = _next_significant(kinds, idx + 1)
-    if not (idx < n and kinds[idx] is OTHER and values[idx] == "#"):
-        return None, False, idx
-    idx += 1
-    if not (idx < n and kinds[idx] is WORD and values[idx] == "1"):
-        return None, False, idx
-    idx = _next_significant(kinds, idx + 1)
-    if not (idx < n and kinds[idx] is GROUP_OPEN):
-        return None, False, idx
-    empty, nxt = _is_empty_body(tokens, idx)
-    return name, empty, nxt
+        m = _NEWCOMMAND_TAIL_RE.match(kinds, i + 1)
+        if m is None or values[m.start(4)] != "1":
+            return None
+        if m.start(1) != -1 and values[m.start(1)] != "*":
+            return None
+        name = values[m.start(3)]
+    return name, *_is_empty_body(tokens, m.end() - 1)
 
 
 def extract_macro_comments(
@@ -519,7 +470,7 @@ def extract_macro_comments(
         if i < resume:
             continue
         open_idx = _next_significant(kinds, i + 1)
-        if not (open_idx < n and kinds[open_idx] is GROUP_OPEN):
+        if not (open_idx < n and kinds[open_idx] == GROUP_OPEN):
             continue
         close = tokens.closers[open_idx]
         if close == -1:

@@ -31,7 +31,6 @@ from .lexer import (
     WORD,
     NoMainFile,
     SourceDocument,
-    TokenKind,
     TokenStream,
     _next_significant,
     alphabetic_words,
@@ -91,7 +90,7 @@ def inline_sources(
 
 
 def _read_group(
-    source: str, tokens: TokenStream, idx: int, opener: TokenKind = GROUP_OPEN
+    source: str, tokens: TokenStream, idx: int, opener: str = GROUP_OPEN
 ) -> tuple[str, int] | None:
     """Read a {…} group, or a [...] one when ``opener`` is OPT_OPEN,
     starting at the next significant token.
@@ -102,7 +101,7 @@ def _read_group(
     """
     kinds = tokens.kinds
     idx = _next_significant(kinds, idx)
-    if idx >= len(kinds) or kinds[idx] is not opener:
+    if idx >= len(kinds) or kinds[idx] != opener:
         return None
     close = tokens.closers[idx]
     if close == -1:
@@ -180,7 +179,7 @@ def extract_theorems(source: str, tokens: TokenStream) -> TheoremCounts:
             continue
         idx = i + 1
         nxt = _next_significant(kinds, idx)
-        if nxt < n and kinds[nxt] is OTHER and values[nxt] == "*":
+        if nxt < n and kinds[nxt] == OTHER and values[nxt] == "*":
             idx = nxt + 1
         group = _read_group(source, tokens, idx)
         if group is not None:
@@ -252,16 +251,14 @@ def _segment_has_words(tokens: TokenStream, start: int, stop: int) -> bool:
     i = start
     while i < stop:
         kind = kinds[i]
-        if kind is COMMAND and values[i] in _AUTHOR_NOISE_MACROS:
+        if kind == COMMAND and values[i] in _AUTHOR_NOISE_MACROS:
             idx = _next_significant(kinds, i + 1)
-            if idx < stop and kinds[idx] is GROUP_OPEN:
-                close = tokens.closers[idx]
-                if close != -1:
-                    i = close + 1
-                    continue
+            if idx < stop and kinds[idx] == GROUP_OPEN:  # closed, as the block is
+                i = tokens.closers[idx] + 1
+                continue
             i += 1
             continue
-        if kind is WORD and alphabetic_words(values[i]):
+        if kind == WORD and alphabetic_words(values[i]):
             return True
         i += 1
     return False
@@ -277,10 +274,10 @@ def _count_block_authors(tokens: TokenStream, open_idx: int) -> int:
     start = i = open_idx + 1
     while i < close:
         kind = kinds[i]
-        if kind is GROUP_OPEN:
+        if kind == GROUP_OPEN:
             i = closers[i] + 1
             continue
-        if kind is COMMAND and values[i] in ("and", "\\"):
+        if kind == COMMAND and values[i] in ("and", "\\"):
             count += _segment_has_words(tokens, start, i)
             start = i + 1
         i += 1
@@ -325,6 +322,10 @@ def _to_char_ranges(spans: list[CommentSpan]) -> list[tuple[int, int]]:
     return sorted((span.start - 1, span.end) for span in spans)
 
 
+# 1 at the code of each kind whose tokens are words, else 0
+_COUNTED = bytes(chr(b) in (WORD, COMMAND) for b in range(256))
+
+
 def collect_words(
     tokens: TokenStream, exclude_spans: list[tuple[int, int]] | None = None
 ) -> list[str]:
@@ -336,13 +337,13 @@ def collect_words(
     invocations are kept out of the text.
     """
     starts = tokens.starts
-    counted = [kind is WORD or kind is COMMAND for kind in tokens.kinds]
+    counted = bytearray(tokens.kinds, "ascii").translate(_COUNTED)
     for lo, hi in exclude_spans or ():
         # tokens first to last - 1 start at or after lo and end by hi
         first = bisect_left(starts, lo)
         last = bisect_right(starts, hi) - 1
         if first < last:
-            counted[first:last] = [False] * (last - first)
+            counted[first:last] = bytes(last - first)
     words: list[str] = []
     for value in compress(tokens.values, counted):
         # A string of letters only is exactly one alphabetic_words match.

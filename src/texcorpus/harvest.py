@@ -15,6 +15,7 @@ import json
 import os
 import posixpath
 import re
+import shutil
 import tarfile
 import time
 import xml.etree.ElementTree as ET
@@ -296,22 +297,33 @@ def harvest_listing(
     fetch: FetchFn | None = None,
     delay: float = DEFAULT_DELAY,
     sleep: Callable[[float], None] = time.sleep,
+    diagnostics: list[Diagnostic] | None = None,
 ) -> list[PaperRecord]:
     """Page through the listing until max_records unique papers are seen.
 
     Waits ``delay`` seconds between page requests. Each page request is
-    retried as ``_retrying`` says; a page that still fails raises. Pages
-    that only repeat known ids stop the walk, as does reaching the feed's
-    reported total.
+    retried as ``_retrying`` says. When a page still fails with an HTTP or
+    transport error, the papers of the pages read before it are returned,
+    with a diagnostic naming the page's offset; a first page that fails
+    raises. Pages that only repeat known ids stop the walk, as does
+    reaching the feed's reported total.
     """
     seen: dict[str, PaperRecord] = {}
     start = 0
     while len(seen) < max_records:
-        records, page = _retrying(
-            lambda: query_listing(category, start, page_size, from_date, to_date, fetch),
-            delay,
-            sleep,
-        )
+        try:
+            records, page = _retrying(
+                lambda: query_listing(category, start, page_size, from_date, to_date, fetch),
+                delay,
+                sleep,
+            )
+        except (HttpError, TransportError) as exc:
+            if start == 0:
+                raise
+            if diagnostics is not None:
+                message = f"{category}: listing page at offset {start} failed: {exc}"
+                diagnostics.append(Diagnostic("harvest", message))
+            break
         if not page.records:
             break
         new = 0
@@ -542,33 +554,43 @@ class CorpusStore:
         return (self._dir(doc_id) / "meta.json").is_file()
 
     def save(self, doc: SourceDocument) -> bool:
-        """Store a document; returns False when it was already present."""
+        """Store a document; returns False when it was already present.
+
+        A save that fails partway removes the entry's directory if it made
+        it, so no files are left without a meta.json, and re-raises.
+        """
         if self.contains(doc.id):
             return False
         directory = self._dir(doc.id)
+        created = not directory.exists()
         files_dir = directory / "files"
-        files_dir.mkdir(parents=True, exist_ok=True)
         paths = []
-        for path, data in doc.files:
-            norm = _check_member_name(path, doc.id)
-            target = files_dir / norm
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
-            paths.append(norm)
-        meta = {
-            "schema": CORPUS_SCHEMA,
-            "id": doc.id,
-            "category": doc.category,
-            "timestamp": doc.timestamp.isoformat() if doc.timestamp else None,
-            "page_count": doc.page_count,
-            "main_file": doc.main_file,
-            "files": paths,
-        }
-        partial = directory / "meta.json.tmp"
-        partial.write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        os.replace(partial, directory / "meta.json")
+        try:
+            files_dir.mkdir(parents=True, exist_ok=True)
+            for path, data in doc.files:
+                norm = _check_member_name(path, doc.id)
+                target = files_dir / norm
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(data)
+                paths.append(norm)
+            meta = {
+                "schema": CORPUS_SCHEMA,
+                "id": doc.id,
+                "category": doc.category,
+                "timestamp": doc.timestamp.isoformat() if doc.timestamp else None,
+                "page_count": doc.page_count,
+                "main_file": doc.main_file,
+                "files": paths,
+            }
+            partial = directory / "meta.json.tmp"
+            partial.write_text(
+                json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
+            os.replace(partial, directory / "meta.json")
+        except BaseException:
+            if created:
+                shutil.rmtree(directory, ignore_errors=True)
+            raise
         return True
 
     def load(self, doc_id: str) -> SourceDocument:
@@ -682,6 +704,7 @@ def harvest_into_store(
         fetch=fetch,
         delay=delay,
         sleep=sleep,
+        diagnostics=report.diagnostics,
     )
     report.listed = len(records)
     for record in records:

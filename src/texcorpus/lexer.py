@@ -57,18 +57,14 @@ class TokenKind(Enum):
     OTHER = "other"
 
 
-# The members as module constants for per-token loops: on Python 3.11 a
-# ``TokenKind.X`` lookup runs EnumType.__getattr__ and costs about 0.2 us.
-COMMAND = TokenKind.COMMAND
-LINE_COMMENT = TokenKind.LINE_COMMENT
-WORD = TokenKind.WORD
-GROUP_OPEN = TokenKind.GROUP_OPEN
-GROUP_CLOSE = TokenKind.GROUP_CLOSE
-OPT_OPEN = TokenKind.OPT_OPEN
-OPT_CLOSE = TokenKind.OPT_CLOSE
-MATH_SHIFT = TokenKind.MATH_SHIFT
-WHITESPACE = TokenKind.WHITESPACE
-OTHER = TokenKind.OTHER
+# One code character per kind, TeX's special characters standing for
+# themselves. ``TokenStream.kinds`` is a string of codes, one per token, so
+# that a pass over the tokens of a kind is a regex search over that string,
+# not a walk in Python over every token.
+_CODES = "\\%w{}[]$ ."
+(COMMAND, LINE_COMMENT, WORD, GROUP_OPEN, GROUP_CLOSE, OPT_OPEN, OPT_CLOSE,
+ MATH_SHIFT, WHITESPACE, OTHER) = _CODES
+_KIND_OF_CODE = dict(zip(_CODES, TokenKind))  # the members, in the codes' order
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -103,28 +99,30 @@ _LEXEME_RE = re.compile(r"\\[A-Za-z]+|\\.?|%[^\n]*\n?|[{}\[\]$]|\s+|[^\W_]+|.", 
 _PLAIN_RUN_RE = re.compile(r"\s+|\S+")
 
 
-class _KindByFirstChar(dict):
-    """The kind of a ``_LEXEME_RE`` match by its first character, except a
-    lone backslash. ASCII is in the table; other characters are classified
-    when met."""
+class _CodeTable(dict):
+    """A ``str.translate`` table from the first character of a lexeme to
+    its kind's code: ``fixed`` gives the codes of some characters, and any
+    other character is classified by ``classify`` when first met."""
 
-    def __missing__(self, c: str) -> TokenKind:
-        return WHITESPACE if c.isspace() else WORD if c.isalnum() else OTHER
+    def __init__(self, classify, fixed: dict[str, str] | None = None):
+        super().__init__({ord(c): code for c, code in (fixed or {}).items()})
+        self._classify = classify
+
+    def __missing__(self, ordinal: int) -> str:
+        code = self[ordinal] = self._classify(chr(ordinal))
+        return code
+
+    def codes(self, lexemes: list[str]) -> str:
+        return "".join(map(itemgetter(0), lexemes)).translate(self)
 
 
-_KIND_BY_FIRST_CHAR = _KindByFirstChar(
-    {
-        "\\": COMMAND,
-        "%": LINE_COMMENT,
-        "{": GROUP_OPEN,
-        "}": GROUP_CLOSE,
-        "[": OPT_OPEN,
-        "]": OPT_CLOSE,
-        "$": MATH_SHIFT,
-    }
+# for a _LEXEME_RE match, except a lone backslash, and a _PLAIN_RUN_RE match
+_LEXEME_CODES = _CodeTable(
+    lambda c: WHITESPACE if c.isspace() else WORD if c.isalnum() else OTHER,
+    {"\\": COMMAND, "%": LINE_COMMENT, "{": GROUP_OPEN, "}": GROUP_CLOSE,
+     "[": OPT_OPEN, "]": OPT_CLOSE, "$": MATH_SHIFT},
 )
-_KIND_BY_FIRST_CHAR.update({c: _KIND_BY_FIRST_CHAR[c] for c in map(chr, range(128))})
-_first_char = itemgetter(0)
+_PLAIN_RUN_CODES = _CodeTable(lambda c: WHITESPACE if c.isspace() else WORD)
 
 _BEGIN_VERBATIM_RE = re.compile(
     r"[ \t]*\{(" + "|".join(re.escape(name) for name in VERBATIM_ENVIRONMENTS) + r")\}"
@@ -133,23 +131,29 @@ _BEGIN_VERBATIM_RE = re.compile(
 _MAY_CUT_RE = re.compile(r"\\verb|\\begin" + _BEGIN_VERBATIM_RE.pattern)
 
 
-def _lex(text: str, start: int, end: int, lexemes: list[str], kinds: list[TokenKind]) -> None:
-    """Append the lexemes of text[start:end] and their kinds."""
+def _lex(text: str, start: int, end: int, lexemes: list[str], codes: list[str]) -> None:
+    """Append the lexemes of text[start:end] and their kinds' codes."""
     found = _LEXEME_RE.findall(text, start, end)
-    kinds += map(_KIND_BY_FIRST_CHAR.__getitem__, map(_first_char, found))
+    code = _LEXEME_CODES.codes(found)
     if found and found[-1] == "\\":
-        kinds[-1] = OTHER  # a lone trailing backslash names no command
+        code = code[:-1] + OTHER  # a lone trailing backslash names no command
+    codes.append(code)
     lexemes += found
 
 
 def _lex_plain_runs(
-    text: str, start: int, end: int, lexemes: list[str], kinds: list[TokenKind]
+    text: str, start: int, end: int, lexemes: list[str], codes: list[str]
 ) -> None:
     """Append text[start:end], a verbatim region, as alternating
     word/whitespace runs."""
     runs = _PLAIN_RUN_RE.findall(text, start, end)
-    kinds += [WHITESPACE if run[0].isspace() else WORD for run in runs]
+    codes.append(_PLAIN_RUN_CODES.codes(runs))
     lexemes += runs
+
+
+def kind_positions(kinds: str, codes: str) -> list[int]:
+    """Positions of the tokens whose kind's code is among ``codes``, in order."""
+    return [m.start() for m in re.finditer(f"[{re.escape(codes)}]", kinds)]
 
 
 def tokenize(source: str | bytes) -> TokenStream:
@@ -160,11 +164,12 @@ def tokenize(source: str | bytes) -> TokenStream:
     comment. Text inside verbatim environments and ``\\verb`` arguments is
     emitted as WORD/WHITESPACE tokens, so no LINE_COMMENT can start there:
     those regions are cut out first, and the text between them is lexed by
-    one ``_LEXEME_RE`` pass.
+    one ``_LEXEME_RE`` pass. Each pass codes its lexemes' kinds with one
+    ``str.translate`` of their first characters.
     """
     text = decode_source(source)
     lexemes: list[str] = []
-    kinds: list[TokenKind] = []
+    codes: list[str] = []
     done = 0  # text[:done] is lexed
     if _MAY_CUT_RE.search(text) is not None:
         for name, _, end in scan_commands(text, _OPENERS):
@@ -172,25 +177,26 @@ def tokenize(source: str | bytes) -> TokenStream:
             if region is None:
                 continue
             cut, body, body_end, done_to = region
-            _lex(text, done, cut, lexemes, kinds)
+            _lex(text, done, cut, lexemes, codes)
             if body > cut:
                 lexemes.append(text[cut])
-                kinds.append(OTHER)
-            _lex_plain_runs(text, body, body_end, lexemes, kinds)
+                codes.append(OTHER)
+            _lex_plain_runs(text, body, body_end, lexemes, codes)
             if done_to > body_end:
                 lexemes.append(text[body_end])
-                kinds.append(OTHER)
+                codes.append(OTHER)
             done = done_to
-    _lex(text, done, len(text), lexemes, kinds)
+    _lex(text, done, len(text), lexemes, codes)
+    kinds = "".join(codes)
+    starts = list(accumulate(map(len, lexemes), initial=0))
 
-    # a command drops its backslash, a comment its % and newline
-    values = [
-        lexeme[1:] if kind is COMMAND
-        else (lexeme[1:-1] if lexeme[-1] == "\n" else lexeme[1:]) if kind is LINE_COMMENT
-        else lexeme
-        for kind, lexeme in zip(kinds, lexemes)
-    ]
-    return TokenStream(kinds, values, list(accumulate(map(len, lexemes), initial=0)))
+    # the lexemes become the values: a command drops its backslash, a
+    # comment its % and newline
+    values = lexemes
+    for i in kind_positions(kinds, COMMAND + LINE_COMMENT):
+        lexeme = values[i]
+        values[i] = lexeme[1:] if lexeme[0] == "\\" else lexeme[1:].removesuffix("\n")
+    return TokenStream(kinds, values, starts)
 
 
 def _verb_extent(text: str, i: int) -> tuple[int, int, int]:
@@ -326,11 +332,14 @@ class TokenStream:
     """The tokens of one source as three parallel columns, with its brace
     table and its command index.
 
-    Token i has kind ``kinds[i]`` and value ``values[i]``, and spans
-    ``starts[i]:starts[i + 1]`` of the source: ``starts`` has one entry
-    more than the others, the length of the source, since the tokens tile
-    it. The pipeline reads the columns. Indexing, slicing and iteration
-    build ``Token`` views on demand.
+    Token i has the kind coded by the character ``kinds[i]`` (``COMMAND``,
+    ``WORD`` and the other code constants of this module) and the value
+    ``values[i]``, and spans ``starts[i]:starts[i + 1]`` of the source:
+    ``starts`` has one entry more than the others, the length of the
+    source, since the tokens tile it. The pipeline reads the columns, and
+    finds the tokens of a kind by a regex search of ``kinds``. Indexing,
+    slicing and iteration build ``Token`` views on demand, with each code
+    mapped back to its ``TokenKind``.
 
     ``closers`` is ``group_closers`` of ``kinds`` and ``commands`` maps
     each command name to the positions of its COMMAND tokens, in order.
@@ -340,7 +349,7 @@ class TokenStream:
     stream as immutable.
     """
 
-    def __init__(self, kinds: list[TokenKind], values: list[str], starts: list[int]):
+    def __init__(self, kinds: str, values: list[str], starts: list[int]):
         self.kinds = kinds
         self.values = values
         self.starts = starts
@@ -352,11 +361,14 @@ class TokenStream:
         if isinstance(index, slice):
             return [self[i] for i in range(len(self.kinds))[index]]
         i = range(len(self.kinds))[index]
-        return Token(self.kinds[i], self.values[i], self.starts[i], self.starts[i + 1])
+        return Token(
+            _KIND_OF_CODE[self.kinds[i]], self.values[i], self.starts[i], self.starts[i + 1]
+        )
 
     def __iter__(self) -> Iterator[Token]:
         starts = self.starts
-        return map(Token, self.kinds, self.values, starts, islice(starts, 1, None))
+        kinds = map(_KIND_OF_CODE.__getitem__, self.kinds)
+        return map(Token, kinds, self.values, starts, islice(starts, 1, None))
 
     @cached_property
     def closers(self) -> list[int]:
@@ -366,9 +378,8 @@ class TokenStream:
     def commands(self) -> dict[str, list[int]]:
         index: dict[str, list[int]] = {}
         values = self.values
-        for i, kind in enumerate(self.kinds):
-            if kind is COMMAND:
-                index.setdefault(values[i], []).append(i)
+        for i in kind_positions(self.kinds, COMMAND):
+            index.setdefault(values[i], []).append(i)
         return index
 
     def command_positions(self, names: Iterable[str]) -> list[int]:
@@ -377,8 +388,9 @@ class TokenStream:
         return sorted(i for name in names for i in index.get(name, ()))
 
 
-def group_closers(kinds: list[TokenKind]) -> list[int]:
-    """The brace table of a token stream's kinds, built in one pass.
+def group_closers(kinds: str) -> list[int]:
+    """The brace table of a token stream's kind codes, built in one pass
+    over its brackets.
 
     Entry i is the index of the GROUP_CLOSE matching a GROUP_OPEN at i, or
     of the first OPT_CLOSE after an OPT_OPEN at i (options do not nest).
@@ -389,30 +401,28 @@ def group_closers(kinds: list[TokenKind]) -> list[int]:
     closers = [-1] * len(kinds)
     open_groups: list[int] = []
     open_options: list[int] = []
-    for i, kind in enumerate(kinds):
-        if kind is GROUP_OPEN:
+    for i in kind_positions(kinds, GROUP_OPEN + GROUP_CLOSE + OPT_OPEN + OPT_CLOSE):
+        kind = kinds[i]
+        if kind == GROUP_OPEN:
             open_groups.append(i)
-        elif kind is GROUP_CLOSE:
+        elif kind == GROUP_CLOSE:
             if open_groups:
                 closers[open_groups.pop()] = i
-        elif kind is OPT_OPEN:
+        elif kind == OPT_OPEN:
             open_options.append(i)
-        elif kind is OPT_CLOSE:
+        else:
             for j in open_options:
                 closers[j] = i
             open_options.clear()
     return closers
 
 
-_SKIPPABLE = (WHITESPACE, LINE_COMMENT)
+_SKIPPABLE_RE = re.compile(f"[{re.escape(WHITESPACE + LINE_COMMENT)}]*")
 
 
-def _next_significant(kinds: list[TokenKind], idx: int) -> int:
+def _next_significant(kinds: str, idx: int) -> int:
     """Index of the next token that is not whitespace or a line comment."""
-    n = len(kinds)
-    while idx < n and kinds[idx] in _SKIPPABLE:
-        idx += 1
-    return idx
+    return _SKIPPABLE_RE.match(kinds, idx).end()
 
 
 class NoMainFile(TexcorpusError):

@@ -16,6 +16,7 @@ from texcorpus.comments import (
     OverlappingMaximalComments,
     _delete,
     _normalize_tex,
+    _one_argument_definition,
     comment_words,
     detect_ignore_macros,
     extract_line_comments,
@@ -28,7 +29,7 @@ from texcorpus.comments import (
     strip_line_comments,
 )
 from texcorpus.errors import Diagnostic
-from texcorpus.lexer import tokenize
+from texcorpus.lexer import TokenKind, tokenize
 
 COMMENTISH = st.text(alphabet="ab%\n ", max_size=12)
 # what the reference normalizer treats specially: comment and escape
@@ -535,6 +536,94 @@ class TestIgnoreMacroDetection:
     def test_newcommand_does_not_rebind_a_def(self):
         tokens = tokenize("\\def\\x#1{}\n\\newcommand{\\x}[1]{#1}")
         assert detect_ignore_macros(tokens) == {"x"}
+
+
+def walk_one_argument_definition(views, i):
+    """_one_argument_definition by a walk over the Token views, one token
+    at a time."""
+    n = len(views)
+    skippable = (TokenKind.WHITESPACE, TokenKind.LINE_COMMENT)
+
+    def significant(k):
+        while k < n and views[k].kind in skippable:
+            k += 1
+        return k
+
+    def at(k, kind, value=None):
+        return k < n and views[k].kind is kind and value in (None, views[k].value)
+
+    k = significant(i + 1)
+    if views[i].value == "def":
+        if not at(k, TokenKind.COMMAND):
+            return None
+        name = views[k].value
+        k = significant(k + 1)
+        if not (at(k, TokenKind.OTHER, "#") and at(k + 1, TokenKind.WORD, "1")):
+            return None
+        k = significant(k + 2)
+    else:
+        if at(k, TokenKind.OTHER, "*"):
+            k = significant(k + 1)
+        if at(k, TokenKind.GROUP_OPEN):
+            k = significant(k + 1)
+            if not at(k, TokenKind.COMMAND):
+                return None
+            name = views[k].value
+            k = significant(k + 1)
+            if not at(k, TokenKind.GROUP_CLOSE):
+                return None
+        elif at(k, TokenKind.COMMAND):
+            name = views[k].value
+        else:
+            return None
+        for kind, value in (
+            (TokenKind.OPT_OPEN, None), (TokenKind.WORD, "1"), (TokenKind.OPT_CLOSE, None)
+        ):
+            k = significant(k + 1)
+            if not at(k, kind, value):
+                return None
+        k = significant(k + 1)
+    if not at(k, TokenKind.GROUP_OPEN):
+        return None
+    depth = 0
+    for close in range(k, n):
+        depth += {TokenKind.GROUP_OPEN: 1, TokenKind.GROUP_CLOSE: -1}.get(views[close].kind, 0)
+        if depth == 0:
+            empty = all(views[j].kind in skippable for j in range(k + 1, close))
+            return name, empty, close + 1
+    return name, False, n
+
+
+SKIP = st.sampled_from(["", " ", "\n", "%c\n"])
+NEWCOMMAND = st.tuples(
+    st.sampled_from(["\\newcommand", "\\renewcommand"]), SKIP,
+    st.sampled_from(["", "*", "+"]), SKIP,
+    st.sampled_from(["{\\x}", "\\x", "{ \\x }", "{\\x", "x", "{\\x a}"]), SKIP,
+    st.sampled_from(["[1]", "[ 1 ]", "[%c\n1]", "[2]", "[11]", "[1", ""]), SKIP,
+    st.sampled_from(["", "[d]"]), SKIP,
+    st.sampled_from(["{}", "{ }", "{%c\n}", "{a}", "{{}}", "{", "}"]),
+).map("".join)
+DEF = st.tuples(
+    st.just("\\def"), SKIP, st.sampled_from(["\\x", "x"]), SKIP,
+    st.sampled_from(["#1", "# 1", "#2", "#", "+1"]), SKIP, st.sampled_from(["{}", "{a}", "{"]),
+).map("".join)
+# definitions, whole and broken, between uses, stray braces and \verb
+DEFINITIONS = st.lists(
+    NEWCOMMAND | DEF | st.sampled_from(["\\x{a}", "{", "}", " ", "a", "\\verb|", "|"]),
+    max_size=5,
+).map("".join)
+
+
+class TestDefinitionTails:
+    @given(DEFINITIONS)
+    @settings(max_examples=1000, deadline=None)
+    def test_match_a_walk_over_the_token_views(self, source):
+        tokens = tokenize(source)
+        views = list(tokens)
+        for i in tokens.command_positions(("newcommand", "renewcommand", "def")):
+            assert _one_argument_definition(tokens, i) == walk_one_argument_definition(
+                views, i
+            )
 
 
 class TestMacroComments:

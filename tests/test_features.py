@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_docs
+from test_lexer import loop_tokenize
 from texcorpus import features, lexer
-from texcorpus.comments import detect_ignore_macros, extract_macro_comments
+from texcorpus.comments import (
+    CommentSpan,
+    detect_ignore_macros,
+    extract_line_comments,
+    extract_macro_comments,
+)
 from texcorpus.errors import Diagnostic
 from texcorpus.features import (
     analyze_graphics,
@@ -23,10 +29,9 @@ from texcorpus.features import (
     inline_sources,
 )
 from texcorpus.lexer import (
-    COMMAND,
-    WORD,
     NoMainFile,
     SourceDocument,
+    TokenKind,
     alphabetic_words,
     group_closers,
     tokenize,
@@ -314,7 +319,7 @@ class TestWords:
         words = []
         ri = 0
         for tok in tokens:
-            if tok.kind not in (COMMAND, WORD):
+            if tok.kind not in (TokenKind.COMMAND, TokenKind.WORD):
                 continue
             while ri < len(ranges) and ranges[ri][1] <= tok.start:
                 ri += 1
@@ -499,14 +504,14 @@ class TestOneTokenization:
         tokens = tokenize(golden_docs.assembled_text(labels))
         walk = {}
         for i, tok in enumerate(tokens):
-            if tok.kind is COMMAND:
+            if tok.kind is TokenKind.COMMAND:
                 walk.setdefault(tok.value, []).append(i)
         assert tokens.commands == walk
         names = set(sorted(walk)[::2]) | {"absent"}
         assert tokens.command_positions(names) == [
             i
             for i, tok in enumerate(tokens)
-            if tok.kind is COMMAND and tok.value in names
+            if tok.kind is TokenKind.COMMAND and tok.value in names
         ]
 
     def test_one_tokenize_per_document_none_in_inlining(self, monkeypatch):
@@ -542,6 +547,87 @@ class TestOneTokenization:
         for doc_id in GOLDEN_IDS:
             labels, doc = golden_document(doc_id)
             assert extract_document(doc).features.doc_id == labels["id"]
+
+
+def walk_closers(tokens):
+    """The brace table by one walk over the Token views."""
+    closers = [-1] * len(tokens)
+    groups, options = [], []
+    for i, tok in enumerate(tokens):
+        if tok.kind is TokenKind.GROUP_OPEN:
+            groups.append(i)
+        elif tok.kind is TokenKind.GROUP_CLOSE:
+            if groups:
+                closers[groups.pop()] = i
+        elif tok.kind is TokenKind.OPT_OPEN:
+            options.append(i)
+        elif tok.kind is TokenKind.OPT_CLOSE:
+            for j in options:
+                closers[j] = i
+            options.clear()
+    return closers
+
+
+def value_from_span(source, tok):
+    """A token's value cut from its span of the source."""
+    text = source[tok.start : tok.end]
+    if tok.kind is TokenKind.COMMAND:
+        return text[1:]
+    if tok.kind is TokenKind.LINE_COMMENT:
+        return text[1:].removesuffix("\n")
+    return text
+
+
+# \verb and verbatim regions, a % or { opening a verbatim run, a backslash
+# that may end the text, non-ASCII whitespace, letters and digits; half of
+# the pieces are brackets, so groups nest and options close more than once
+CODED = st.lists(
+    st.sampled_from(
+        ["\\verb|", "\\verb*+", "|", "+", "\\verb|%x|", "\\verb|{",
+         "\\begin{verbatim}", "\\begin{verbatim}%", "\\begin{verbatim}{",
+         "\\end{verbatim}", "\\", "\\\\", "\\%", "%", "$", "#", "_", "*", " ",
+         "\n", "\u00a0", "\u2028", "\x1c", "\u00e9", "\u0436", "\u0663", "\u00b2",
+         "a", "Zq", "1", "\\alpha", "\\hide"]
+    )
+    | st.sampled_from("{}[]"),
+    max_size=40,
+).map("".join)
+
+
+class TestCodeStringAgainstViews:
+    """Each structure read off the kind codes equals a walk over the Token
+    views, which map every code back to its TokenKind; the views' kinds
+    are those of the loop tokenizer."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(CODED, st.data())
+    def test_structures_match_a_walk(self, source, data):
+        tokens = tokenize(source)
+        views = list(tokens)
+        assert isinstance(tokens.kinds, str) and len(tokens.kinds) == len(views)
+        assert [tok.kind for tok in views] == [kind for kind, *_ in loop_tokenize(source)]
+        assert tokens.values == [value_from_span(source, tok) for tok in views]
+        assert tokens.closers == walk_closers(views)
+        walk = {}
+        for i, tok in enumerate(views):
+            if tok.kind is TokenKind.COMMAND:
+                walk.setdefault(tok.value, []).append(i)
+        assert tokens.commands == walk
+        assert extract_line_comments(source, tokens) == [
+            CommentSpan(
+                kind="line", start=tok.start + 1, end=tok.start + 1 + len(tok.value),
+                text=tok.value,
+            )
+            for tok in views
+            if tok.kind is TokenKind.LINE_COMMENT
+        ]
+        reference = TestWords.reference_collect_words
+        assert collect_words(tokens) == reference(views)
+        bounds = data.draw(
+            st.lists(st.integers(0, len(source)), unique=True, max_size=6).map(sorted)
+        )
+        spans = list(zip(bounds[::2], bounds[1::2]))
+        assert collect_words(tokens, spans) == reference(views, spans)
 
 
 class TestLinearTime:

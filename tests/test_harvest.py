@@ -344,6 +344,52 @@ class TestHarvestListing:
         assert len(attempts) == 1 + 3
 
 
+def listing_then_unavailable(downloads):
+    """A fetch serving a listing of two papers whose first page, one paper,
+    is read and whose second answers 503 every time. ``fetch.starts``
+    records each listing request's offset."""
+    first = feed([entry(paper_id="cs/1v1")], total=2, start=0, per_page=1)
+    serve_download = serve(b"", downloads)
+    starts = []
+
+    def fetch(url, params=None, timeout=30.0):
+        if params is None:
+            return serve_download(url)
+        starts.append(params["start"])
+        return (200, {}, first) if params["start"] == 0 else (503, {}, b"")
+
+    fetch.starts = starts
+    return fetch
+
+
+class TestListingPageThatStaysUnavailable:
+    def test_papers_listed_before_it_are_kept(self):
+        fetch = listing_then_unavailable({})
+        diagnostics = []
+        records = harvest_listing(
+            "cs.AI", 2, page_size=1, fetch=fetch, delay=0, sleep=lambda s: None,
+            diagnostics=diagnostics,
+        )
+        assert [r.id for r in records] == ["cs/1"]
+        assert fetch.starts == [0, 1, 1, 1, 1]
+        [diagnostic] = diagnostics
+        assert diagnostic.stage == "harvest"
+        assert diagnostic.message.startswith("cs.AI: listing page at offset 1 failed: HTTP 503")
+
+    def test_harvest_stores_them_and_exits_0(self, tmp_path, capsys, monkeypatch):
+        fetch = listing_then_unavailable({"cs/1": [source()]})
+        monkeypatch.setattr(harvest, "http_fetch", fetch)
+        argv = ["harvest", "--category", "cs.AI", "--max", "2", "--page-size", "1"]
+        assert main([*argv, "--delay", "0", "--store", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert (record["listed"], record["stored"], record["failed"]) == (1, 1, 0)
+        [line] = err.splitlines()
+        assert "listing page at offset 1 failed" in line
+        assert CorpusStore(tmp_path).ids() == ["cs_1"]
+        assert fetch.starts == [0, 1, 1, 1, 1]
+
+
 class TestClassifyPayload:
     def test_content_type_wins(self):
         assert classify_payload(b"anything", "application/pdf") is FileType.PDF
@@ -776,12 +822,19 @@ UNSTORABLE = {
 }
 
 
+# writable, and a tree that would collide with what the file-and-directory
+# payload wrote before it failed
+STORABLE = [("a/main.tex", b"\\documentclass{article}")]
+
+
 class TestStoreWriteFailure:
-    """A paper the store cannot write is counted as failed; the next is stored."""
+    """A paper the store cannot write is counted as failed and leaves
+    nothing in the store; the next is stored."""
+
+    LISTING = feed([entry(paper_id="cs/1v1"), entry(paper_id="cs/2v1")])
 
     def fetch(self, case):
-        listing = feed([entry(paper_id="cs/1v1"), entry(paper_id="cs/2v1")])
-        return serve(listing, {"cs/1": [UNSTORABLE[case]], "cs/2": [source()]})
+        return serve(self.LISTING, {"cs/1": [UNSTORABLE[case]], "cs/2": [source()]})
 
     @pytest.mark.parametrize("case", sorted(UNSTORABLE))
     def test_harvest_into_store_goes_on(self, tmp_path, case):
@@ -791,9 +844,26 @@ class TestStoreWriteFailure:
         )
         assert (report.listed, report.stored, report.failed) == (2, 1, 1)
         assert store.ids() == ["cs_2"]
+        assert not (tmp_path / "cs_1").exists()
         [diagnostic] = report.diagnostics
         assert diagnostic.stage == "harvest"
         assert diagnostic.message.startswith("cs/1: could not store: ")
+
+        # a later harvest of a payload the store can write stores it
+        fetch = serve(self.LISTING, {"cs/1": [source(STORABLE)], "cs/2": [source()]})
+        again = harvest_into_store("cs.AI", 2, store, fetch=fetch, delay=0, sleep=lambda s: None)
+        assert (again.stored, again.already_present, again.failed) == (1, 1, 0)
+        assert store.ids() == ["cs_1", "cs_2"]
+        assert store.load("cs/1").files == STORABLE
+
+    def test_failed_save_keeps_a_directory_it_did_not_make(self, tmp_path):
+        (tmp_path / "cs_1").mkdir()
+        (tmp_path / "cs_1" / "kept").write_bytes(b"")
+        doc = SourceDocument(id="cs/1", files=[("a", b"x"), ("a/main.tex", b"y")])
+        with pytest.raises(FileExistsError):
+            CorpusStore(tmp_path).save(doc)
+        assert (tmp_path / "cs_1" / "kept").exists()
+        assert not (tmp_path / "cs_1" / "meta.json").exists()
 
     @pytest.mark.parametrize("case", sorted(UNSTORABLE))
     def test_harvest_command_goes_on(self, tmp_path, capsys, monkeypatch, case):
@@ -805,6 +875,14 @@ class TestStoreWriteFailure:
         assert (record["stored"], record["failed"]) == (1, 1)
         assert "cs/1: could not store: " in err
         assert CorpusStore(tmp_path).ids() == ["cs_2"]
+        assert not (tmp_path / "cs_1").exists()
+
+        fetch = serve(self.LISTING, {"cs/1": [source(STORABLE)], "cs/2": [source()]})
+        monkeypatch.setattr(harvest, "http_fetch", fetch)
+        assert main([*argv, "--store", str(tmp_path)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["stored"], record["failed"]) == (1, 0)
+        assert CorpusStore(tmp_path).ids() == ["cs_1", "cs_2"]
 
 
 def test_harvest_reads_no_delay_from_the_environment(tmp_path, capsys, monkeypatch):
