@@ -25,6 +25,7 @@ from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
 from typing import Callable, TypeVar
+from urllib.parse import urlencode
 
 from .errors import Diagnostic, TexcorpusError
 from .lexer import MAX_PAGE_COUNT, SourceDocument
@@ -105,32 +106,52 @@ T = TypeVar("T")
 def http_fetch(
     url: str, params: dict | None = None, timeout: float = 30.0
 ) -> tuple[int, dict, bytes]:
-    """GET a URL, returning (status, headers, body)."""
-    import requests  # only a network fetch needs it
+    """GET a URL, returning (status, headers, body).
 
-    response = requests.get(
-        url, params=params, timeout=timeout, headers={"User-Agent": USER_AGENT}
-    )
-    return response.status_code, dict(response.headers), response.content
+    The body is returned as the server sent it: the request asks for no
+    content coding and nothing is inflated here, so every decompression
+    happens in ``unpack``, under its size cap. An error status is a result
+    like any other. A failure to get a whole response, such as a refused
+    connection, a timeout, a malformed status line or a body cut short,
+    raises an OSError.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request  # only a network fetch needs them
+
+    if params:
+        url += ("&" if "?" in url else "?") + urlencode(params)
+    request = urllib.request.Request(url, headers={"User-Agent": USER_AGENT})
+    try:
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.status, dict(response.headers), response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, dict(exc.headers), exc.read()
+    except http.client.HTTPException as exc:
+        # not an OSError, yet as much a transport fault as a reset connection
+        raise ConnectionError(f"{exc!r}") from exc
 
 
 def _request(
     url: str, fetch: FetchFn | None, params: dict | None = None
 ) -> tuple[dict, bytes]:
-    """One GET through ``fetch`` (default http_fetch); (headers, body) of a success.
+    """One GET through ``fetch`` (default http_fetch); (headers, body) of a
+    success, with the header names in lower case.
 
-    requests' ConnectionError and Timeout subclass OSError, so any OSError
-    becomes TransportError. A 429 or 503 raises RateLimited, carrying its
-    Retry-After when that is a number from 0 to MAX_RETRY_AFTER; another
-    error status raises HttpError.
+    Any OSError from ``fetch`` becomes TransportError. A 429 or 503 raises
+    RateLimited, carrying its Retry-After when that is a number from 0 to
+    MAX_RETRY_AFTER; another error status raises HttpError.
     """
     try:
         status, headers, body = (fetch or http_fetch)(url, params=params)
     except OSError as exc:
         raise TransportError(f"transport error for {url}: {exc}") from exc
+    headers = {name.lower(): value for name, value in headers.items()}
     if status in (429, 503):
         try:
-            retry_after = float(headers.get("Retry-After") or headers.get("retry-after"))
+            retry_after = float(headers.get("retry-after"))
         except (TypeError, ValueError):
             retry_after = None
         usable = retry_after is not None and 0 <= retry_after <= MAX_RETRY_AFTER
@@ -303,9 +324,9 @@ def harvest_listing(
 
     Waits ``delay`` seconds between page requests. Each page request is
     retried as ``_retrying`` says. When a page still fails with an HTTP or
-    transport error, the papers of the pages read before it are returned,
-    with a diagnostic naming the page's offset; a first page that fails
-    raises. Pages that only repeat known ids stop the walk, as does
+    transport error, or is malformed, the papers of the pages read before
+    it are returned, with a diagnostic naming the page's offset; a first
+    page that fails raises. Pages that only repeat known ids stop the walk, as does
     reaching the feed's reported total.
     """
     seen: dict[str, PaperRecord] = {}
@@ -317,7 +338,7 @@ def harvest_listing(
                 delay,
                 sleep,
             )
-        except (HttpError, TransportError) as exc:
+        except (HttpError, TransportError, FeedParseError) as exc:
             if start == 0:
                 raise
             if diagnostics is not None:
@@ -671,8 +692,7 @@ def fetch_source(
     """Download one paper's source payload; returns (bytes, content type)."""
     url = f"{source_base().rstrip('/')}/{paper_id}"
     headers, body = _request(url, fetch)
-    content_type = headers.get("Content-Type") or headers.get("content-type")
-    return body, content_type
+    return body, headers.get("content-type")
 
 
 def harvest_into_store(

@@ -9,13 +9,16 @@ from pathlib import Path
 import texcorpus
 from synth import two_class_corpus
 from texcorpus.cli import FEATURES_SCHEMA, NdjsonWriter, feature_record
+from texcorpus.harvest import CorpusStore
+from texcorpus.lexer import SourceDocument
 
 SRC = Path(texcorpus.__file__).resolve().parent.parent
+HEAVY = {"numpy", "urllib.request", "http.client"}
 
 
 def heavy_modules_after(code: str) -> list[str]:
-    """Which of numpy and requests a fresh interpreter holds after running code."""
-    probe = f"{code}\nimport sys\nprint(sorted({{'numpy', 'requests'}} & sys.modules.keys()))"
+    """Which of HEAVY a fresh interpreter holds after running code."""
+    probe = f"{code}\nimport sys\nprint(sorted({HEAVY!r} & sys.modules.keys()))"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -33,6 +36,16 @@ class TestLazyImports:
 
     def test_package_import_loads_neither(self):
         assert heavy_modules_after("import texcorpus") == []
+
+    def test_extract_command_loads_neither(self, tmp_path):
+        store = CorpusStore(tmp_path / "corpus")
+        for doc_id in ("cs/1", "cs/2"):
+            text = b"\\documentclass{article}\\begin{document}Hi.\\end{document}"
+            store.save(SourceDocument(id=doc_id, files=[("main.tex", text)]))
+        argv = ["extract", "--corpus", str(store.root), "--out", str(tmp_path / "f")]
+        code = f"from texcorpus.cli import main\nassert main({argv!r}) == 0"
+        assert heavy_modules_after(code) == []
+        assert len((tmp_path / "f").read_text().splitlines()) == 3  # schema, 2 docs
 
     def test_stats_command_loads_neither(self, tmp_path):
         features = tmp_path / "features.ndjson"

@@ -3,12 +3,16 @@
 import gzip
 import io
 import json
+import socket
 import tarfile
+import threading
 from datetime import date
+from functools import partial
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlencode
 
 import pytest
-import requests
 
 from texcorpus import harvest
 from texcorpus.cli import main
@@ -29,6 +33,7 @@ from texcorpus.harvest import (
     classify_payload,
     harvest_into_store,
     harvest_listing,
+    http_fetch,
     parse_listing_feed,
     query_listing,
     unpack,
@@ -323,7 +328,7 @@ class TestHarvestListing:
         def fetch(url, params=None, timeout=30.0):
             attempts.append(1)
             if len(attempts) < 3:
-                raise requests.ConnectionError("connection reset")
+                raise ConnectionResetError("connection reset")
             return (200, {}, feed([entry()]))
 
         naps = []
@@ -337,16 +342,20 @@ class TestHarvestListing:
 
         def fetch(url, params=None, timeout=30.0):
             attempts.append(1)
-            raise requests.Timeout("read timed out")
+            raise TimeoutError("read timed out")
 
         with pytest.raises(TransportError):
             harvest_listing("cs.AI", 1, fetch=fetch, delay=0.0, sleep=lambda s: None)
         assert len(attempts) == 1 + 3
 
 
-def listing_then_unavailable(downloads):
+UNAVAILABLE = (503, {}, b"")
+MALFORMED = (200, {}, b"<feed><unclosed")
+
+
+def listing_then(second, downloads):
     """A fetch serving a listing of two papers whose first page, one paper,
-    is read and whose second answers 503 every time. ``fetch.starts``
+    is read and whose second answers ``second`` every time. ``fetch.starts``
     records each listing request's offset."""
     first = feed([entry(paper_id="cs/1v1")], total=2, start=0, per_page=1)
     serve_download = serve(b"", downloads)
@@ -356,7 +365,7 @@ def listing_then_unavailable(downloads):
         if params is None:
             return serve_download(url)
         starts.append(params["start"])
-        return (200, {}, first) if params["start"] == 0 else (503, {}, b"")
+        return (200, {}, first) if params["start"] == 0 else second
 
     fetch.starts = starts
     return fetch
@@ -364,7 +373,7 @@ def listing_then_unavailable(downloads):
 
 class TestListingPageThatStaysUnavailable:
     def test_papers_listed_before_it_are_kept(self):
-        fetch = listing_then_unavailable({})
+        fetch = listing_then(UNAVAILABLE, {})
         diagnostics = []
         records = harvest_listing(
             "cs.AI", 2, page_size=1, fetch=fetch, delay=0, sleep=lambda s: None,
@@ -377,7 +386,7 @@ class TestListingPageThatStaysUnavailable:
         assert diagnostic.message.startswith("cs.AI: listing page at offset 1 failed: HTTP 503")
 
     def test_harvest_stores_them_and_exits_0(self, tmp_path, capsys, monkeypatch):
-        fetch = listing_then_unavailable({"cs/1": [source()]})
+        fetch = listing_then(UNAVAILABLE, {"cs/1": [source()]})
         monkeypatch.setattr(harvest, "http_fetch", fetch)
         argv = ["harvest", "--category", "cs.AI", "--max", "2", "--page-size", "1"]
         assert main([*argv, "--delay", "0", "--store", str(tmp_path)]) == 0
@@ -388,6 +397,38 @@ class TestListingPageThatStaysUnavailable:
         assert "listing page at offset 1 failed" in line
         assert CorpusStore(tmp_path).ids() == ["cs_1"]
         assert fetch.starts == [0, 1, 1, 1, 1]
+
+    def test_a_malformed_page_keeps_them_too(self, tmp_path, capsys, monkeypatch):
+        fetch = listing_then(MALFORMED, {"cs/1": [source()]})
+        monkeypatch.setattr(harvest, "http_fetch", fetch)
+        argv = ["harvest", "--category", "cs.AI", "--max", "2", "--page-size", "1"]
+        assert main([*argv, "--delay", "0", "--store", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert (record["listed"], record["stored"], record["failed"]) == (1, 1, 0)
+        [line] = err.splitlines()
+        assert "listing page at offset 1 failed: feed is not well-formed XML" in line
+        assert CorpusStore(tmp_path).ids() == ["cs_1"]
+        assert fetch.starts == [0, 1]  # a malformed page is not retried
+
+    def test_a_first_page_that_still_fails_exits_2(self, tmp_path, capsys, monkeypatch):
+        starts = []
+
+        def fetch(url, params=None, timeout=30.0):
+            starts.append(params["start"])
+            return UNAVAILABLE
+
+        monkeypatch.setattr(harvest, "http_fetch", fetch)
+        argv = ["harvest", "--category", "cs.AI", "--max", "2", "--page-size", "1"]
+        assert main([*argv, "--delay", "0", "--store", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "record": "error",
+            "message": f"HTTP 503 for {harvest.api_base()}",
+        }
+        assert starts == [0] * (MAX_RETRIES + 1)
+        assert CorpusStore(tmp_path).ids() == []
 
 
 class TestClassifyPayload:
@@ -756,7 +797,7 @@ class TestHarvestIntoStore:
             if params is not None:
                 return (200, {}, listing)
             if url.endswith("/cs/1"):
-                raise requests.ConnectionError(f"connection reset while fetching {url}")
+                raise ConnectionResetError(f"connection reset while fetching {url}")
             return (200, {"Content-Type": "application/x-eprint-tar"}, source)
 
         store = CorpusStore(tmp_path)
@@ -774,10 +815,11 @@ class TestHarvestIntoStore:
         "fault, backoff",
         [
             ((503, {"Retry-After": "0"}, b""), 0.0),
+            ((503, {"RETRY-AFTER": "5"}, b""), 5.0),
             ((429, {}, b""), 1.0),
-            (requests.ConnectionError("connection reset"), 1.0),
+            (ConnectionResetError("connection reset"), 1.0),
         ],
-        ids=["503-retry-after-0", "429", "connection-reset"],
+        ids=["503-retry-after-0", "503-upper-case-retry-after", "429", "connection-reset"],
     )
     def test_one_shot_download_fault_is_retried(self, tmp_path, fault, backoff):
         fetch = serve(feed([entry(paper_id="cs/1v1")]), {"cs/1": [fault, source()]})
@@ -813,6 +855,17 @@ class TestHarvestIntoStore:
         assert (report.stored, report.failed) == (0, 1)
         assert fetch.fetches == ["cs/1"]
         assert naps == [0.5]
+
+    def test_content_type_name_is_case_insensitive(self, tmp_path):
+        _, _, archive = source()
+        pdf = (200, {"Content-type": "application/pdf"}, archive)
+        fetch = serve(feed([entry(paper_id="cs/1v1")]), {"cs/1": [pdf]})
+        store = CorpusStore(tmp_path)
+        report = harvest_into_store(
+            "cs.AI", 1, store, fetch=fetch, delay=0, sleep=lambda s: None
+        )
+        assert (report.stored, report.unsupported, report.failed) == (0, 1, 0)
+        assert store.ids() == []
 
 
 UNSTORABLE = {
@@ -893,3 +946,131 @@ def test_harvest_reads_no_delay_from_the_environment(tmp_path, capsys, monkeypat
     argv = ["harvest", "--category", "cs.AI", "--max", "1"]
     assert main([*argv, "--store", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["listed"] == 0
+
+
+# 5,000,000 zero bytes, gzipped to under 5 KB
+BOMB = gzip.compress(bytes(5_000_000))
+
+ROUTES = {
+    "/ok": (200, {"Content-Type": "application/x-eprint-tar"}, b"payload"),
+    "/missing": (404, {}, b"not here"),
+    "/busy": (503, {"Retry-After": "7"}, b""),
+    "/bomb": (200, {"Content-Encoding": "gzip"}, BOMB),
+    # the connection closes 90 bytes short of the promised body
+    "/truncated": (200, {"Content-Length": "100"}, b"0123456789"),
+    # a status of None sends the body raw, with no status line or headers
+    "/garbled": (None, {}, b"garbage\r\n"),
+    "/api/query": (200, {}, feed([entry(paper_id="cs/1v1"), entry(paper_id="cs/2v1")])),
+    "/e-print/cs/1": (200, {"Content-Length": "100"}, b"0123456789"),
+    "/e-print/cs/2": source(),
+}
+
+
+class RouteHandler(BaseHTTPRequestHandler):
+    """Answers each path in ROUTES and records what each request sent."""
+
+    def do_GET(self):
+        path, _, query = self.path.partition("?")
+        self.server.seen.append(
+            (query, self.headers["User-Agent"], self.headers["Accept-Encoding"])
+        )
+        status, headers, body = ROUTES[path]
+        if status is not None:
+            self.send_response(status)
+            for name, value in {"Content-Length": len(body), **headers}.items():
+                self.send_header(name, str(value))
+            self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass  # keep request lines off the test output
+
+
+@pytest.fixture
+def server():
+    """A ThreadingHTTPServer on a free loopback port, serving ROUTES."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), RouteHandler)
+    httpd.seen = []
+    # a short poll interval, so shutdown() does not wait half a second
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.01,))
+    thread.start()
+    try:
+        yield httpd
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def url_of(httpd, path):
+    host, port = httpd.server_address[:2]
+    return f"http://{host}:{port}{path}"
+
+
+class TestHttpFetch:
+    def test_ok_returns_body_and_headers(self, server):
+        params = {"search_query": "cat:cs.AI AND x", "start": 0}
+        status, headers, body = http_fetch(url_of(server, "/ok"), params=params)
+        assert (status, body) == (200, b"payload")
+        assert headers["Content-Type"] == "application/x-eprint-tar"
+        # http.client's own Accept-Encoding, which asks for no content coding
+        assert server.seen == [(urlencode(params), harvest.USER_AGENT, "identity")]
+
+    def test_not_found_is_http_error(self, server):
+        with pytest.raises(HttpError) as err:
+            harvest._request(url_of(server, "/missing"), None)
+        assert type(err.value) is HttpError
+        assert err.value.status == 404
+
+    def test_unavailable_is_rate_limited_with_retry_after(self, server):
+        with pytest.raises(RateLimited) as err:
+            harvest._request(url_of(server, "/busy"), None)
+        assert (err.value.status, err.value.retry_after) == (503, 7.0)
+
+    def test_gzip_encoded_body_arrives_as_sent(self, server):
+        status, headers, body = http_fetch(url_of(server, "/bomb"))
+        assert status == 200
+        assert headers["Content-Encoding"] == "gzip"
+        assert body == BOMB
+
+    @pytest.mark.parametrize(
+        "path, fault",
+        [("/truncated", "IncompleteRead"), ("/garbled", "BadStatusLine")],
+    )
+    def test_incomplete_response_is_transport_error(self, server, path, fault):
+        # http.client raises these as HTTPException, which is no OSError
+        with pytest.raises(TransportError, match=fault):
+            harvest._request(url_of(server, path), None)
+
+    def test_harvest_counts_a_truncated_download_as_failed(
+        self, server, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("TEXCORPUS_API_BASE", url_of(server, "/api/query"))
+        monkeypatch.setenv("TEXCORPUS_SOURCE_BASE", url_of(server, "/e-print"))
+        argv = ["harvest", "--category", "cs.AI", "--max", "2", "--delay", "0"]
+        assert main([*argv, "--store", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["listed"], report["stored"], report["failed"]) == (2, 1, 1)
+        # one listing request, then cs/1 on every attempt, then cs/2 once
+        downloads = [seen for seen in server.seen if not seen[0]]
+        assert len(downloads) == MAX_RETRIES + 2
+        assert CorpusStore(tmp_path).contains("cs/2")
+        assert not CorpusStore(tmp_path).contains("cs/1")
+
+    def test_base_without_a_scheme_ends_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TEXCORPUS_API_BASE", "export.arxiv.org/api/query")
+        argv = ["harvest", "--category", "cs.AI", "--max", "1", "--delay", "0"]
+        assert main([*argv, "--store", str(tmp_path)]) == 1
+        assert "unknown url type" in capsys.readouterr().err
+
+    def test_listing_query_joins_a_base_query_with_ampersand(self, server):
+        http_fetch(url_of(server, "/ok?key=1"), params={"start": 0})
+        assert server.seen[0][0] == "key=1&start=0"
+
+    def test_server_that_never_answers_is_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            host, port = silent.getsockname()
+            fetch = partial(http_fetch, timeout=0.2)
+            with pytest.raises(TransportError, match="timed out"):
+                harvest._request(f"http://{host}:{port}/", fetch)
