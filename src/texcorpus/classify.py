@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Diagnostic, TexcorpusError
-from .features import FeatureVector
+from .records import FeatureVector
 
 FEATURE_NAMES = (
     "multi_file",

@@ -21,25 +21,13 @@ import sys
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import fields
-from datetime import date
 from functools import partial
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
 from .errors import Diagnostic, TexcorpusError
-from .features import FeatureVector, extract_document
-from .stats import (
-    CorpusSummary,
-    DegenerateX,
-    FilterSpec,
-    build_table,
-    discriminative,
-    grouped_means,
-    linear_trend,
-    package_incidence,
-    summarize,
-)
+from .records import FeatureVector, iso_date
 
 FEATURES_SCHEMA = "texcorpus.features"
 COMMENTS_SCHEMA = "texcorpus.comments"
@@ -214,7 +202,7 @@ _pages = _decoder(
 _timestamp = _decoder(
     lambda v: v is None or isinstance(v, str),
     "a date string or null",
-    lambda text: date.fromisoformat(text) if text else None,
+    lambda text: iso_date(text) if text else None,
 )
 _names = _decoder(
     lambda v: isinstance(v, list) and all(map(_is_text, v)), "a list of strings", tuple
@@ -294,7 +282,8 @@ def _extract_one(root: str, comments: bool, words: bool, doc_id: str) -> dict:
     """Worker: extract one stored document into the finished ndjson lines
     of its features record, and of its comments and words records when
     asked for, so the parent only writes text."""
-    from .harvest import CorpusStore
+    from .features import extract_document
+    from .store import CorpusStore
 
     store = CorpusStore(root)
     try:
@@ -351,7 +340,11 @@ def _distinct_outputs(*paths: str | None) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    from .harvest import CorpusStore
+    # Imported before the pool starts, so that forked workers inherit the
+    # extraction code; _extract_one imports it again for workers that start
+    # from a fresh interpreter.
+    from . import features  # noqa: F401
+    from .store import CorpusStore
 
     corpus = Path(args.corpus)
     if not corpus.is_dir():
@@ -409,12 +402,33 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- stats
 
-_SUMMARY_SCALARS = tuple(
-    f.name for f in fields(CorpusSummary) if not f.name.endswith("_histogram")
-)
+# The stats functions that perfbench/traced.py times by replacing them as
+# attributes of this module. The analysis commands look them up here, so a
+# replacement is what they call, and stats is imported only when a command
+# runs one of them.
+_STATS_CALLS = ("build_table", "discriminative", "linear_trend", "summarize")
+
+
+def __getattr__(name: str):
+    if name in _STATS_CALLS:
+        from . import stats
+
+        return getattr(stats, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _stats(name: str):
+    """The stats function ``name``, or what replaced it in this module."""
+    return globals().get(name) or __getattr__(name)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .stats import CorpusSummary
+
+    summarize = _stats("summarize")
+    scalars = tuple(
+        f.name for f in fields(CorpusSummary) if not f.name.endswith("_histogram")
+    )
     features = read_features(args.features)
     diagnostics: list[Diagnostic] = []
     summaries = summarize(features, diagnostics)
@@ -428,9 +442,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         with handle:
             handle.write(f"#schema={STATS_SCHEMA}.v1\n")
             writer = csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n")
-            writer.writerow(_SUMMARY_SCALARS)
+            writer.writerow(scalars)
             for category in sorted(summaries):
-                values = (getattr(summaries[category], n) for n in _SUMMARY_SCALARS)
+                values = (getattr(summaries[category], n) for n in scalars)
                 writer.writerow("" if value is None else value for value in values)
         return 0
 
@@ -438,7 +452,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for category in sorted(summaries):
             summary = summaries[category]
             record = {"record": "summary"}
-            for name in _SUMMARY_SCALARS:
+            for name in scalars:
                 record[name] = getattr(summary, name)
             record["page_histogram"] = {
                 str(k): v for k, v in summary.page_histogram.items()
@@ -497,6 +511,9 @@ def _pick_categories(features: list[FeatureVector], names: str | None) -> tuple[
 
 
 def cmd_discriminate(args: argparse.Namespace) -> int:
+    from .stats import FilterSpec, package_incidence
+
+    build_table, discriminative = _stats("build_table"), _stats("discriminative")
     features = read_features(args.features)
     filters = FilterSpec(
         drop_stopwords=not args.keep_stopwords, min_length=args.min_length
@@ -596,6 +613,9 @@ TREND_PAIRINGS = (
 
 
 def cmd_trends(args: argparse.Namespace) -> int:
+    from .stats import DegenerateX, grouped_means
+
+    linear_trend = _stats("linear_trend")
     features = read_features(args.features)
     scopes = [("all", features)]
     for category in sorted({fv.category for fv in features}):
@@ -704,20 +724,20 @@ def cmd_harvest(args: argparse.Namespace) -> int:
         if not (args.from_date and args.to_date):
             raise UsageError("--from and --to must be given together")
         try:
-            from_date = date.fromisoformat(args.from_date)
-            to_date = date.fromisoformat(args.to_date)
+            from_date = iso_date(args.from_date)
+            to_date = iso_date(args.to_date)
         except ValueError as exc:
             raise UsageError(f"bad date: {exc}") from exc
         if to_date < from_date:
             raise UsageError("--to is before --from")
 
     from . import harvest as harvest_mod
+    from .store import CorpusStore
 
-    store = harvest_mod.CorpusStore(args.store)
     report = harvest_mod.harvest_into_store(
         args.category,
         args.max_records,
-        store,
+        CorpusStore(args.store),
         from_date=from_date,
         to_date=to_date,
         page_size=args.page_size,

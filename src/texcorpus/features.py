@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from datetime import date
 from itertools import compress
 
 from .comments import (
@@ -38,6 +37,8 @@ from .lexer import (
     input_references,
     tokenize,
 )
+from .records import FeatureVector
+
 
 def inline_sources(
     texts: dict[str, str],
@@ -352,39 +353,6 @@ def collect_words(
         else:
             words.extend(alphabetic_words(value))
     return words
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Everything measured about one document."""
-
-    doc_id: str
-    category: str
-    timestamp: date | None
-    multi_file: bool
-    word_count: int
-    comment_word_count: int
-    page_count: int | None
-    package_count: int
-    package_names: tuple[str, ...]
-    newcommand_count: int
-    theorem_count: int
-    theorem_like_count: int
-    figure_count: int
-    includegraphics_count: int
-    epsfig_command_count: int
-    graphicx_declared: bool
-    epsfig_declared: bool
-    author_count: int
-    author_block_found: bool
-
-    @property
-    def graphicx_unused(self) -> bool:
-        return self.graphicx_declared and self.includegraphics_count == 0
-
-    @property
-    def epsfig_unused(self) -> bool:
-        return self.epsfig_declared and self.epsfig_command_count == 0
 
 
 @dataclass

@@ -5,17 +5,14 @@ single module-level ``http_fetch`` that tests can replace. Downloaded
 payloads are classified by declared content type first and by leading magic
 bytes second, then unpacked with hard safety limits: archive members may not
 escape the extraction root, be links, or exceed a cumulative size cap.
-Documents land in a file-based store, one directory per paper.
+Documents land in the corpus store of ``texcorpus.store``.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
-import posixpath
 import re
-import shutil
 import tarfile
 import time
 import xml.etree.ElementTree as ET
@@ -23,12 +20,12 @@ import zlib
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from pathlib import Path
 from typing import Callable, TypeVar
 from urllib.parse import urlencode
 
 from .errors import Diagnostic, TexcorpusError
 from .lexer import MAX_PAGE_COUNT, SourceDocument
+from .store import CorpusStore, PathTraversal, _check_member_name
 
 USER_AGENT = "texcorpus/0.1 (batch corpus harvester)"
 
@@ -87,16 +84,8 @@ class ArchiveCorrupt(TexcorpusError):
     """A source archive cannot be decompressed or read."""
 
 
-class PathTraversal(TexcorpusError):
-    """An archive member tries to escape the extraction root."""
-
-
 class SizeCapExceeded(TexcorpusError):
     """An archive expands past the configured size limit."""
-
-
-class CorruptMeta(TexcorpusError):
-    """A stored document's metadata cannot be read back."""
 
 
 FetchFn = Callable[..., tuple[int, dict, bytes]]
@@ -443,18 +432,6 @@ def _gunzip_capped(payload: bytes, cap: int, doc_id: str) -> bytes:
     return out
 
 
-def _check_member_name(name: str, doc_id: str) -> str:
-    """Validate and normalize an archive member path of paper ``doc_id``."""
-    if "\x00" in name:
-        raise PathTraversal(f"{doc_id}: member name contains NUL: {name!r}")
-    if name.startswith("/") or re.match(r"^[A-Za-z]:[/\\]", name):
-        raise PathTraversal(f"{doc_id}: absolute member path: {name!r}")
-    norm = posixpath.normpath(name.replace("\\", "/"))
-    if norm == ".." or norm.startswith("../") or norm.startswith("/"):
-        raise PathTraversal(f"{doc_id}: member path escapes root: {name!r}")
-    return norm
-
-
 class _NotATar(Exception):
     """Internal: payload was labeled tar but is not readable as one."""
 
@@ -544,134 +521,6 @@ def unpack(
         category=category,
         page_count=page_count,
     )
-
-
-CORPUS_SCHEMA = "texcorpus.corpus.v1"
-
-_SAFE_ID_RE = re.compile(r"[^A-Za-z0-9._-]")
-
-
-def _safe_id(doc_id: str) -> str:
-    return _SAFE_ID_RE.sub("_", doc_id)
-
-
-class CorpusStore:
-    """File-based document store: one directory per paper.
-
-    Layout: <root>/<safe id>/meta.json plus the source files under
-    files/. The metadata file is written last, to a temporary file moved
-    into place, so its presence marks a complete save; saving an
-    already-present id is a no-op. Only saving creates directories:
-    reading a store that does not exist finds no ids.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def _dir(self, doc_id: str) -> Path:
-        return self.root / _safe_id(doc_id)
-
-    def contains(self, doc_id: str) -> bool:
-        return (self._dir(doc_id) / "meta.json").is_file()
-
-    def save(self, doc: SourceDocument) -> bool:
-        """Store a document; returns False when it was already present.
-
-        A save that fails partway removes the entry's directory if it made
-        it, so no files are left without a meta.json, and re-raises.
-        """
-        if self.contains(doc.id):
-            return False
-        directory = self._dir(doc.id)
-        created = not directory.exists()
-        files_dir = directory / "files"
-        paths = []
-        try:
-            files_dir.mkdir(parents=True, exist_ok=True)
-            for path, data in doc.files:
-                norm = _check_member_name(path, doc.id)
-                target = files_dir / norm
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(data)
-                paths.append(norm)
-            meta = {
-                "schema": CORPUS_SCHEMA,
-                "id": doc.id,
-                "category": doc.category,
-                "timestamp": doc.timestamp.isoformat() if doc.timestamp else None,
-                "page_count": doc.page_count,
-                "main_file": doc.main_file,
-                "files": paths,
-            }
-            partial = directory / "meta.json.tmp"
-            partial.write_text(
-                json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
-            os.replace(partial, directory / "meta.json")
-        except BaseException:
-            if created:
-                shutil.rmtree(directory, ignore_errors=True)
-            raise
-        return True
-
-    def load(self, doc_id: str) -> SourceDocument:
-        return self._load_dir(self._dir(doc_id))
-
-    def _load_dir(self, directory: Path) -> SourceDocument:
-        """Read one stored document. A meta.json that is not what ``save``
-        writes, including a listed path outside the entry, is CorruptMeta."""
-        name = directory.name
-        try:
-            meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:
-            raise CorruptMeta(f"{name}: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise CorruptMeta(f"{name}: meta.json is not a JSON object")
-        if meta.get("schema") != CORPUS_SCHEMA:
-            raise CorruptMeta(f"{name}: unrecognized schema {meta.get('schema')!r}")
-
-        def value(key: str, kind: type, optional: bool = True):
-            found = meta.get(key)
-            # JSON yields exact types, so this also refuses a bool as an int
-            if (found is None and optional) or type(found) is kind:
-                return found
-            raise CorruptMeta(f"{name}: {key} is not a {kind.__name__}")
-
-        doc_id = value("id", str, optional=False)
-        rel_paths = value("files", list, optional=False)
-        files = []
-        for rel in rel_paths:
-            if not isinstance(rel, str):
-                raise CorruptMeta(f"{name}: a listed file is not a string")
-            try:
-                rel = _check_member_name(rel, name)
-                files.append((rel, (directory / "files" / rel).read_bytes()))
-            except PathTraversal as exc:
-                raise CorruptMeta(str(exc)) from exc
-            except OSError as exc:
-                raise CorruptMeta(f"{name}: unreadable {rel!r}") from exc
-        timestamp = value("timestamp", str)
-        try:
-            return SourceDocument(
-                id=doc_id,
-                files=files,
-                main_file=value("main_file", str),
-                timestamp=date.fromisoformat(timestamp) if timestamp else None,
-                category=value("category", str) or "",
-                page_count=value("page_count", int),
-            )
-        except ValueError as exc:
-            raise CorruptMeta(f"{name}: {exc}") from exc
-
-    def ids(self) -> list[str]:
-        """Stored ids, sorted by directory name; none for a missing root."""
-        if not self.root.exists():
-            return []
-        out = []
-        for directory in sorted(self.root.iterdir()):
-            if (directory / "meta.json").is_file():
-                out.append(directory.name)
-        return out
 
 
 @dataclass

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Iterable
 
 from .errors import Diagnostic, TexcorpusError
-from .features import FeatureVector
+from .records import FeatureVector
 
 
 class EmptyCorpus(TexcorpusError):

@@ -15,7 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from texcorpus.features import FeatureVector
+from texcorpus.records import FeatureVector
 
 
 @dataclass(frozen=True)

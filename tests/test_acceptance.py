@@ -38,16 +38,15 @@ from texcorpus.comments import (
 )
 from texcorpus.features import extract_document
 from texcorpus.harvest import (
-    CorpusStore,
     FileType,
     PaperRecord,
-    PathTraversal,
     SizeCapExceeded,
     classify_payload,
     parse_listing_feed,
     unpack,
 )
 from texcorpus.lexer import SourceDocument, TokenKind, tokenize
+from texcorpus.store import CorpusStore, PathTraversal
 from texcorpus.stats import (
     FilterSpec,
     build_table,

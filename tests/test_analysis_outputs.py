@@ -26,7 +26,7 @@ import pytest
 
 import texcorpus
 from texcorpus.cli import main
-from texcorpus.harvest import CorpusStore
+from texcorpus.store import CorpusStore
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from synth import two_class_corpus
 from texcorpus import cli, harvest
+from texcorpus import features as features_mod
 from texcorpus.cli import (
     CLASSIFY_SCHEMA,
     FEATURES_SCHEMA,
@@ -27,9 +28,9 @@ from texcorpus.cli import (
     parse_feature_record,
     read_ndjson,
 )
-from texcorpus.features import FeatureVector
-from texcorpus.harvest import CorpusStore
 from texcorpus.lexer import MAX_PAGE_COUNT, SourceDocument
+from texcorpus.records import FeatureVector
+from texcorpus.store import CorpusStore
 
 DOCS = [
     (
@@ -270,7 +271,7 @@ class TestExtract:
     ):
         calls = []
         monkeypatch.setattr(
-            cli, "extract_document", lambda doc: calls.append(doc.id)
+            features_mod, "extract_document", lambda doc: calls.append(doc.id)
         )
         paths = {
             name: str(corpus / f"{name[2:]}.ndjson")
@@ -291,7 +292,7 @@ class TestExtract:
     ):
         calls = []
         monkeypatch.setattr(
-            cli, "extract_document", lambda doc: calls.append(doc.id)
+            features_mod, "extract_document", lambda doc: calls.append(doc.id)
         )
         same = str(corpus / "same.ndjson")
         alias = f"{corpus}/corpus/../same.ndjson"
@@ -315,7 +316,7 @@ class TestExtract:
         assert len(read_ndjson(corpus / "features.ndjson", FEATURES_SCHEMA)) == 3
 
     def test_crash_leaves_outputs_as_they_were(self, corpus40, monkeypatch):
-        real = cli.extract_document
+        real = features_mod.extract_document
         calls = []
 
         def third_one_breaks(doc):
@@ -324,7 +325,7 @@ class TestExtract:
                 raise RuntimeError("boom")
             return real(doc)
 
-        monkeypatch.setattr(cli, "extract_document", third_one_breaks)
+        monkeypatch.setattr(features_mod, "extract_document", third_one_breaks)
         out = corpus40 / "features.ndjson"
         out.write_bytes(b"earlier run\n")
         code = main(
@@ -881,6 +882,22 @@ class TestHarvestCommand:
         err = capsys.readouterr().err
         assert json.loads(err.splitlines()[-1])["record"] == "error"
 
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("value", ["20010101", "2001-W01-1"])
+    def test_date_not_written_yyyy_mm_dd_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        # Python 3.11 and later read both forms as dates, 3.10 neither
+        monkeypatch.setattr(harvest, "http_fetch", refuse_fetch)
+        dates = {"--from": "2001-01-01", "--to": "2001-12-31", flag: value}
+        argv = ["harvest", "--category", "cs.AI", "--max", "5"]
+        argv += ["--store", str(tmp_path / "store")]
+        code = main([*argv, *(item for pair in dates.items() for item in pair)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad date: Invalid isoformat string: {value!r}" in err
+        assert not (tmp_path / "store").exists()
+
     def test_lopsided_dates_are_usage_error(self, tmp_path):
         code = main(
             [
@@ -996,6 +1013,9 @@ class TestMalformedRecords:
             ("category", "\ud800"),
             ("timestamp", 20010310),
             ("timestamp", "2001-13-40"),
+            # read as dates by Python 3.11 and later only
+            ("timestamp", "20010311"),
+            ("timestamp", "2001-W10-6"),
             ("graphicx_declared", 1),
         ],
     )

@@ -19,12 +19,9 @@ from texcorpus.cli import main
 from texcorpus.harvest import (
     MAX_RETRIES,
     ArchiveCorrupt,
-    CorpusStore,
-    CorruptMeta,
     FeedParseError,
     FileType,
     HttpError,
-    PathTraversal,
     RateLimited,
     SizeCapExceeded,
     TransportError,
@@ -39,6 +36,7 @@ from texcorpus.harvest import (
     unpack,
 )
 from texcorpus.lexer import MAX_PAGE_COUNT, SourceDocument
+from texcorpus.store import CorpusStore, CorruptMeta, PathTraversal
 
 FEED_HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -702,6 +700,9 @@ class TestMalformedMeta:
             {"page_count": True},
             {"timestamp": "2012-13-45"},
             {"timestamp": 2012},
+            # read as dates by Python 3.11 and later only
+            {"timestamp": "20120102"},
+            {"timestamp": "2012-W01-1"},
             {"main_file": "nope.tex"},
             {"category": ["cs.AI"]},
             {"files": ["."]},

@@ -34,3 +34,13 @@ def test_environment_table_lists_the_variables_the_source_reads():
     table = set(re.findall(r"^\| `(TEXCORPUS_[A-Z_]+)` \|", README.read_text(encoding="utf-8"), re.M))
     assert read
     assert table == read
+
+
+def test_module_map_names_every_module():
+    package = pathlib.Path(__file__).parent.parent / "src" / "texcorpus"
+    modules = {f"texcorpus.{path.stem}" for path in package.glob("*.py")} - {"texcorpus.__init__"}
+    text = README.read_text(encoding="utf-8")
+    module_map = text[text.index("Module map:") : text.index("## Testing")]
+    mapped = set(re.findall(r"^\* `(texcorpus\.\w+)`", module_map, re.M))
+    assert modules
+    assert mapped == modules

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from synth import regression_corpus
 from texcorpus.errors import Diagnostic
-from texcorpus.features import FeatureVector
+from texcorpus.records import FeatureVector
 from texcorpus.stats import (
     DegenerateX,
     EmptyCorpus,
