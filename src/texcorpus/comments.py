@@ -5,28 +5,29 @@ The formal definitions operate on 1-based closed index pairs [i, j] into a
 source string. A substring is a comment when deleting it leaves the oracle's
 view of the document unchanged, and a maximal comment when it cannot be
 extended by one character in either direction and still be a comment. The
-partition routine finds all maximal comments of a string by filling the full
-comment matrix, so maximality costs no oracle calls beyond the matrix itself.
+partition routine asks the oracle for all maximal comments of a string
+(``NormalizingOracle.maximal_pairs``), which costs n(n+1)/2 oracle calls for
+a string of length n: maximality costs no calls beyond the comment matrix.
 
-The oracle fills the matrix (``NormalizingOracle.comment_pairs``). A
-general oracle asks one equivalence query per entry, each normalizing a
-deletion of up to n characters, so O(n^3) for a string of length n. The
-reference oracle's normalization is a finite-state transducer, which lets
-it answer every entry in one forward and one backward pass, in time linear
-in n plus the number of comments found; it still counts n(n+1)/2 calls.
+A general oracle fills the matrix with one equivalence query per entry, each
+normalizing a deletion of up to n characters, so O(n^3), and reads the
+maximal comments off it. The reference oracle's normalization is a
+finite-state transducer, which lets it find them in one forward and one
+backward pass over the string, in time linear in n plus the number of
+maximal comments; it still counts n(n+1)/2 calls.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import Diagnostic, TexcorpusError
 from .lexer import (
     GROUP_OPEN,
     LINE_COMMENT,
     TokenStream,
+    _CodeTable,
     _next_significant,
     alphabetic_words,
     kind_positions,
@@ -72,7 +73,10 @@ class NormalizingOracle:
     them through a normalization function.
 
     Tracks how many equivalence queries were made, which the budgeted
-    partition routine relies on.
+    partition routine relies on. ``maximal_pairs`` asks one query per
+    deletion, n(n+1)/2 for a string of length n; ``reference_oracle()``
+    answers it without queries, in time linear in n plus the number of
+    maximal comments, and still counts n(n+1)/2 calls.
     """
 
     def __init__(self, normalize):
@@ -105,6 +109,19 @@ class NormalizingOracle:
                 if equivalent(s, head + s[j:]):
                     pairs.add((i, j))
         return pairs
+
+    def maximal_pairs(self, s: str) -> list[tuple[int, int]]:
+        """The maximal comments of s, in increasing order: the pairs (i, j)
+        of ``comment_pairs(s)`` for which neither (i - 1, j) nor (i, j + 1)
+        is a pair, where s leaves room for them."""
+        n = len(s)
+        is_com = self.comment_pairs(s)
+        return sorted(
+            (i, j)
+            for i, j in is_com
+            if (i == 1 or (i - 1, j) not in is_com)
+            and (j == n or (i, j + 1) not in is_com)
+        )
 
 
 # An escape pair, a run of ordinary text or a lone trailing backslash is
@@ -150,11 +167,16 @@ def _normalize_tex(text: str) -> str:
 # of a whitespace run, otherwise the character itself.
 _STATES = 5
 _TEXT, _TEXT_WS, _ESCAPE, _COMMENT, _COMMENT_WS = range(_STATES)
-_BACKSLASH, _PERCENT, _NEWLINE, _SPACE, _OTHER = range(5)
-_CLASSES = {"\\": _BACKSLASH, "%": _PERCENT, "\n": _NEWLINE}
-# _TRANSITIONS[class][state] is next state << 1 | 1 if a character is emitted
+# character classes, as multiples of _STATES so that class + state indexes
+# _TRANSITIONS
+_BACKSLASH, _PERCENT, _NEWLINE, _SPACE, _OTHER = range(0, 5 * _STATES, _STATES)
+_CLASS_CODES = _CodeTable(
+    lambda c: chr(_SPACE if c.isspace() else _OTHER),
+    {"\\": chr(_BACKSLASH), "%": chr(_PERCENT), "\n": chr(_NEWLINE)},
+)
+# _TRANSITIONS[class + state] is next state << 1 | 1 if a character is emitted
 _TRANSITIONS = tuple(
-    tuple(next_state << 1 | emits for next_state, emits in row)
+    next_state << 1 | emits
     for row in (
         # each row lists the steps from _TEXT, _TEXT_WS, _ESCAPE, _COMMENT
         # and _COMMENT_WS, in that order; _BACKSLASH:
@@ -168,7 +190,24 @@ _TRANSITIONS = tuple(
         # _OTHER:
         ((_TEXT, 1), (_TEXT, 1), (_TEXT, 1), (_COMMENT, 0), (_COMMENT_WS, 0)),
     )
+    for next_state, emits in row
 )
+# A step that changes the state and emits nothing enters each state from
+# one state only: a % enters a comment from text, and a newline ends a
+# comment that followed whitespace.
+_SILENT_FROM = {
+    step >> 1: move % _STATES
+    for move, step in enumerate(_TRANSITIONS)
+    if not step & 1 and step >> 1 != move % _STATES
+}
+# the states a character of each class can move out of their place in the
+# output: all but those it leaves in the same state without emitting
+_MOVABLE = {
+    code: tuple(
+        state for state in range(_STATES) if _TRANSITIONS[code + state] != state << 1
+    )
+    for code in (_BACKSLASH, _PERCENT, _NEWLINE, _SPACE, _OTHER)
+}
 
 
 class _ReferenceOracle(NormalizingOracle):
@@ -176,8 +215,8 @@ class _ReferenceOracle(NormalizingOracle):
     input: a second string shorter than the first's normal form cannot
     normalize to it, so it is answered False without being normalized.
 
-    ``comment_pairs`` answers the whole matrix at once through the
-    transducer above, in time linear in len(s) plus the number of pairs.
+    ``maximal_pairs`` answers through the transducer above, in time linear
+    in len(s) plus the number of maximal pairs.
     """
 
     def __init__(self):
@@ -191,65 +230,107 @@ class _ReferenceOracle(NormalizingOracle):
         target = cached[1]
         return len(second) >= len(target) and _normalize_tex(second) == target
 
-    def comment_pairs(self, s: str) -> set[tuple[int, int]]:
-        """The same pairs as the per-query loop, and the same n(n+1)/2 calls
+    def maximal_pairs(self, s: str) -> list[tuple[int, int]]:
+        """The same pairs as the base method, and the same n(n+1)/2 calls
         counted, without normalizing any deletion.
 
-        Deleting s[a:b] leaves s[:a] + s[b:], whose normal form is the
-        output of s[:a] followed by the output of s[b:] run from the state
-        s[:a] ends in. The output of s[:a] is always a prefix of the normal
-        form T of s, so the deletion is a comment exactly when the output of
-        s[b:] from that state is the rest of T. A forward pass files each
-        row i = a + 1 by (state, characters of T left after s[:a]); a
-        backward pass carries, for every state, the length of the output of
-        s[b:] when that output is a suffix of T, and pairs b with the rows
-        i <= b filed under it.
+        Row a holds the pairs (a + 1, j). Deleting s[a:j] leaves
+        s[:a] + s[j:], whose normal form is the output of s[:a] followed by
+        the output of s[j:] run from the state s[:a] ends in. The output of
+        s[:a] is the first k characters of the normal form T of s, so
+        (a + 1, j) is a comment exactly when the output of s[j:] from that
+        state is T[k:].
+
+        (a + 1, j) is not maximal at the right when (a + 1, j + 1) is a
+        comment too, as it is whenever the outputs of s[j:] and s[j + 1:]
+        from row a's state start at one place in T; so for each j only the
+        states whose place moved are looked up. It is not maximal at the
+        left when (a, j) is a comment too, as it is whenever row a - 1 has
+        row a's state and k; so only rows that start a run of equal
+        (state, k) are filed. k never falls, so the rows with one k are
+        consecutive: the first is entered by the step that emits T[k - 1],
+        and each later run by a step that emits nothing, from the state
+        ``_SILENT_FROM`` names, at the same k. So the rows filed under one
+        (state, k) are the first row alone, or later runs whose rows before
+        them share one (state, k): either way they are all maximal at the
+        left or none are, and each maximal pair costs O(1).
         """
         n = len(s)
         self.calls += n * (n + 1) // 2
+        if not n:
+            return []
         target = _normalize_tex(s)
-        left = len(target)
-        classes = [
-            _CLASSES.get(c, _SPACE if c.isspace() else _OTHER) for c in s
-        ]
+        codes = s.translate(_CLASS_CODES).encode()
 
-        # rows[state][left]: the rows i = a + 1, ascending, whose s[:a] ends
-        # in state with left characters of target still to come
-        rows: list[dict[int, list[int]]] = [{} for _ in range(_STATES)]
-        filed_in = []  # filed_in[i - 1]: the list row i is in
+        # starts[k]: the first row a with k characters of target emitted by
+        # s[:a], as a << 5 | the _TRANSITIONS index of the step entering it
+        # (row 0 counts as entered from text by an ordinary character);
+        # later[k * _STATES + state]: the rows after it that start a run in
+        # state, ascending
+        starts = [_OTHER + _TEXT]
+        later: dict[int, list[int]] = {}
         state = _TEXT
-        for i, cls in enumerate(classes, 1):
-            filed = rows[state].setdefault(left, [])
-            filed.append(i)
-            filed_in.append(filed)
-            step = _TRANSITIONS[cls][state]
+        for a, code in enumerate(codes, 1):
+            move = code + state
+            step = _TRANSITIONS[move]
+            if step & 1:
+                starts.append(a << 5 | move)
+            elif step >> 1 != state:
+                key = (len(starts) - 1) * _STATES + (step >> 1)
+                later.setdefault(key, []).append(a)
             state = step >> 1
-            left -= step & 1
 
-        pairs: set[tuple[int, int]] = set()
-        size = len(target)
-        # tail[state]: length of the output of s[b:] from state, or -1 when
-        # that output is not a suffix of target
-        tail = [0] * _STATES
-        for b in range(n, 0, -1):
-            for by_left, length in zip(rows, tail):
-                found = by_left.get(length)
-                if found:
-                    pairs.update(zip(found, repeat(b)))
-            # row b is the last in its list, and pairs with no smaller b
-            filed_in[b - 1].pop()
-            cls = classes[b - 1]
-            emitted = " " if cls in (_NEWLINE, _SPACE) else s[b - 1]
-            shifted = []
-            for step in _TRANSITIONS[cls]:
-                length = tail[step >> 1]
-                if step & 1 and length >= 0:
-                    length += 1
-                    if length > size or target[-length] != emitted:
-                        length = -1
-                shifted.append(length)
-            tail = shifted
-        return pairs
+        found = []
+        # at[state]: where in target the output of s[j:] run from state
+        # starts, or -1 when that output is not a suffix of target; was:
+        # the same for s[j + 1:], None past the end
+        at = [len(target)] * _STATES
+        was = [None] * _STATES
+        movable = range(_STATES)
+        j = n
+        while True:
+            for state in movable:
+                k = at[state]
+                if k < 0 or k == was[state]:
+                    continue
+                first = starts[k]
+                move = first & 31
+                if _TRANSITIONS[move] >> 1 == state:
+                    a = first >> 5
+                    if a < j and (a == 0 or at[move % _STATES] != k - 1):
+                        found.append((a + 1, j))
+                rows = later and later.get(k * _STATES + state)
+                if rows and at[_SILENT_FROM[state]] != k:
+                    while rows and rows[-1] >= j:
+                        rows.pop()  # a row a >= j has no pair ending at j
+                    found.extend((a + 1, j) for a in rows)
+            j -= 1
+            if not j:
+                break
+            # each branch reads a column of _TRANSITIONS backward: a state
+            # takes the place of the state it steps to, one earlier when the
+            # step emits the character target holds there
+            code = codes[j]
+            t0, t1, t2, t3, t4 = was = at
+            if code == _OTHER:
+                text = t0 - 1 if t0 > 0 and target[t0 - 1] == s[j] else -1
+                at = [text, text, text, t3, t4]
+            elif code == _SPACE:
+                space = t1 - 1 if t1 > 0 and target[t1 - 1] == " " else -1
+                at = [space, t1, space, t3, t4]
+            elif code == _NEWLINE:
+                space = t1 - 1 if t1 > 0 and target[t1 - 1] == " " else -1
+                at = [space, t1, space, space, t1]
+            elif code == _PERCENT:
+                text = t0 - 1 if t0 > 0 and target[t0 - 1] == "%" else -1
+                at = [t3, t4, text, t3, t4]
+            else:
+                escape = t2 - 1 if t2 > 0 and target[t2 - 1] == "\\" else -1
+                text = t0 - 1 if t0 > 0 and target[t0 - 1] == "\\" else -1
+                at = [escape, escape, text, t3, t4]
+            movable = _MOVABLE[code]
+        found.sort()
+        return found
 
 
 def reference_oracle() -> NormalizingOracle:
@@ -297,14 +378,13 @@ def partition_maximal_comments(
 ) -> list[tuple[int, int]]:
     """All maximal comments of s, in increasing position order.
 
-    Has the oracle fill the whole comment matrix (``comment_pairs``,
-    n(n+1)/2 oracle calls), then reads maximality off the matrix: extending
-    [i, j] left tests entry (i-1, j), extending right tests (i, j+1). With
-    ``reference_oracle()`` the matrix costs time linear in len(s) plus the
-    number of comments; an oracle built on another normalization answers
-    each entry with one query. Raises
-    OverlappingMaximalComments when two maximal comments share characters,
-    since then they do not form a partition of anything.
+    Asks the oracle for them (``maximal_pairs``), which costs n(n+1)/2
+    oracle calls: an oracle built on another normalization answers one
+    query per deletion and reads maximality off the comment matrix, while
+    ``reference_oracle()`` finds them in time linear in len(s) plus their
+    number and counts the same calls. Raises OverlappingMaximalComments
+    when two maximal comments share characters, since then they do not
+    form a partition of anything.
 
     ``max_calls`` caps the oracle's total ``calls``, those made before this
     partition included; OracleBudgetExceeded is raised, before any call,
@@ -321,14 +401,7 @@ def partition_maximal_comments(
                 f"need {needed} oracle calls but only {budget_left} remain"
             )
 
-    is_com = oracle.comment_pairs(s)
-    maximal = sorted(
-        (i, j)
-        for i, j in is_com
-        if (i == 1 or (i - 1, j) not in is_com)
-        and (j == n or (i, j + 1) not in is_com)
-    )
-
+    maximal = oracle.maximal_pairs(s)
     for (i1, j1), (i2, j2) in zip(maximal, maximal[1:]):
         if i2 <= j1:
             raise OverlappingMaximalComments((i1, j1), (i2, j2))
@@ -342,8 +415,9 @@ def semantic_comments(
 ) -> list[CommentSpan]:
     """Maximal comments of s as CommentSpan records.
 
-    ``oracle`` defaults to a fresh ``reference_oracle()``; ``max_calls`` is
-    passed to ``partition_maximal_comments``.
+    ``oracle`` defaults to a fresh ``reference_oracle()``, which finds them
+    in time linear in len(s) plus their number and counts n(n+1)/2 calls;
+    ``max_calls`` is passed to ``partition_maximal_comments``.
     """
     if oracle is None:
         oracle = reference_oracle()

@@ -18,13 +18,14 @@ import time
 import xml.etree.ElementTree as ET
 import zlib
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from enum import Enum
 from typing import Callable, TypeVar
 from urllib.parse import urlencode
 
 from .errors import Diagnostic, TexcorpusError
 from .lexer import MAX_PAGE_COUNT, SourceDocument
+from .records import iso_date
 from .store import CorpusStore, PathTraversal, _check_member_name
 
 USER_AGENT = "texcorpus/0.1 (batch corpus harvester)"
@@ -190,6 +191,13 @@ _NS = {
 
 _VERSION_RE = re.compile(r"v\d+$")
 _PAGES_RE = re.compile(r"(\d+)\s*pages?\b", re.IGNORECASE)
+# what follows the YYYY-MM-DD date of an Atom (RFC 3339) timestamp: the
+# time of day, an optional fraction of a second, then Z or an offset, all
+# in ASCII digits
+_ATOM_TIME_RE = re.compile(
+    r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?"
+    r"(?:Z|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])"
+)
 
 
 def _entry_id(raw: str) -> str:
@@ -199,7 +207,15 @@ def _entry_id(raw: str) -> str:
 
 
 def _entry_date(raw: str) -> date:
-    return datetime.fromisoformat(raw.replace("Z", "+00:00")).date()
+    """The date an Atom timestamp is written with, not moved to UTC.
+
+    Only the RFC 3339 form is read, so a timestamp reads the same on every
+    supported Python (``datetime.fromisoformat`` reads more forms from
+    3.11 on). Raises ValueError.
+    """
+    if not _ATOM_TIME_RE.fullmatch(raw, 10):
+        raise ValueError(f"not an RFC 3339 timestamp: {raw!r}")
+    return iso_date(raw[:10])
 
 
 def parse_listing_feed(xml_bytes: bytes) -> FeedPage:

@@ -1,5 +1,6 @@
 """Feed parsing, payload classification, safe unpacking, and the store."""
 
+import ast
 import gzip
 import io
 import json
@@ -161,6 +162,62 @@ class TestFeedParsing:
             feed([entry(published="2001-01-06T23:30:00-05:00")])
         )
         assert page.records[0].timestamp == date(2001, 1, 6)
+
+    @pytest.mark.parametrize(
+        "published, expected",
+        [
+            ("2001-02-03T00:00:00Z", date(2001, 2, 3)),
+            # Python 3.10's fromisoformat read no fraction of this length
+            ("2001-02-03T00:00:00.5+00:00", date(2001, 2, 3)),
+            ("2001-02-03T23:59:59.1234567+23:59", date(2001, 2, 3)),
+        ],
+    )
+    def test_rfc_3339_timestamps(self, published, expected):
+        page = parse_listing_feed(feed([entry(published=published)]))
+        assert page.records[0].timestamp == expected
+
+    @pytest.mark.parametrize(
+        "published",
+        [
+            # Python 3.11's fromisoformat reads these
+            "20010203T000000+00:00",
+            "2001-02-03T00:00:00+0000",
+            # every Python's fromisoformat reads these
+            "2001-02-03T00:00+00:00",
+            "2001-02-03 00:00:00Z",
+            "2001-02-03T00:00:00",
+            "2001-02-03T00:00:00+05:60",
+            # and none of them these
+            "2001-02-03T25:00:00Z",
+            "2001-02-30T00:00:00Z",
+            "2001-02-03T00:00:00+24:00",
+            "\uff12001-02-03T00:00:00Z",
+            " 2001-02-03T00:00:00Z",
+        ],
+    )
+    def test_other_timestamp_forms_are_refused(self, published):
+        with pytest.raises(FeedParseError, match="bad published date"):
+            parse_listing_feed(feed([entry(published=published)]))
+
+    def test_only_iso_date_calls_fromisoformat(self):
+        # fromisoformat reads more forms from Python 3.11 on; one reader of
+        # dates that refuses them reads a date the same everywhere
+        def owners(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Attribute) and child.attr == "fromisoformat":
+                    yield owner
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from owners(child, child.name)
+                else:
+                    yield from owners(child, owner)
+
+        package = Path(harvest.__file__).parent
+        found = [
+            (path.name, owner)
+            for path in sorted(package.glob("*.py"))
+            for owner in owners(ast.parse(path.read_text(encoding="utf-8")), None)
+        ]
+        assert found == [("records.py", "iso_date")]
 
     def test_missing_primary_falls_back_to_first_category(self):
         page = parse_listing_feed(
