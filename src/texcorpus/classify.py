@@ -3,14 +3,14 @@
 Plain logistic regression fitted by damped Newton steps on the
 L2-regularized log loss. No learned-model dependency: the loss, gradient,
 Hessian and step rule are spelled out here, and training is deterministic
-given the same inputs and configuration.
+given the same inputs and L2 weight. ``model_json`` gives a fitted model
+as the text of its model file.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -55,13 +55,6 @@ def labels_for(features: Sequence[FeatureVector], positive: str) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    l2: float = 1e-3
-    max_epochs: int = 5000
-    tol: float = 1e-8
-
-
 def loss_and_gradient(
     weights: np.ndarray,
     bias: float,
@@ -98,6 +91,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 # After 60 halvings a Newton step moves the weights by less than rounding.
 _MAX_HALVINGS = 60
+# A fit stops after _MAX_EPOCHS Newton iterations, far more than one takes,
+# or once an accepted step lowers the loss by less than _TOL.
+_MAX_EPOCHS = 5000
+_TOL = 1e-8
 
 
 @dataclass
@@ -110,7 +107,7 @@ class LogisticModel:
     means: np.ndarray
     stds: np.ndarray
     positive_category: str
-    config: TrainConfig
+    l2: float
     epochs_run: int
     final_loss: float
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -137,18 +134,19 @@ def fit(
     y: np.ndarray,
     feature_names: tuple[str, ...] = FEATURE_NAMES,
     positive_category: str = "",
-    config: TrainConfig = TrainConfig(),
+    l2: float = 1e-3,
 ) -> LogisticModel:
-    """Train by damped Newton steps from zero-initialized weights.
+    """Train by damped Newton steps from zero-initialized weights, with
+    the L2 penalty ``l2`` on every weight but the bias.
 
     Features are standardized to zero mean and unit variance first.
     Constant columns get a unit divisor instead; being identically zero
     after centering, they keep weight zero and a diagnostic records them.
     Each iteration solves for the Newton step over the other columns and
     the bias, whose weight is not penalized, and halves the step until the
-    loss does not rise. Stops after ``config.max_epochs`` iterations, when
-    an accepted step improves the loss by less than ``config.tol``, or when
-    no halving lowers the loss.
+    loss does not rise. Stops after ``_MAX_EPOCHS`` iterations, when an
+    accepted step improves the loss by less than ``_TOL``, or when no
+    halving lowers the loss.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -185,14 +183,14 @@ def fit(
     # a constant column would make the Hessian singular.
     Xf = Xs[:, ~constant]
     A = np.column_stack([Xf, np.ones(len(y))])
-    penalty = np.diag([config.l2] * Xf.shape[1] + [0.0])
+    penalty = np.diag([l2] * Xf.shape[1] + [0.0])
     w = np.zeros(Xf.shape[1], dtype=np.float64)
     bias = 0.0
-    loss, grad_w, grad_b = loss_and_gradient(w, bias, Xf, y, config.l2)
+    loss, grad_w, grad_b = loss_and_gradient(w, bias, Xf, y, l2)
     epochs = 0
     # a trial step whose loss overflows is rejected like one whose loss rises
     with np.errstate(over="ignore", invalid="ignore"):
-        while epochs < config.max_epochs:
+        while epochs < _MAX_EPOCHS:
             p = _sigmoid(Xf @ w + bias)
             hessian = (A.T * (p * (1.0 - p) / len(y))) @ A + penalty
             # least squares, not solve: with l2 = 0 the Hessian is singular
@@ -206,7 +204,7 @@ def fit(
             for _ in range(_MAX_HALVINGS):
                 trial_w = w - t * step[:-1]
                 trial_b = bias - t * float(step[-1])
-                trial = loss_and_gradient(trial_w, trial_b, Xf, y, config.l2)
+                trial = loss_and_gradient(trial_w, trial_b, Xf, y, l2)
                 if trial[0] <= loss:
                     break
                 t *= 0.5
@@ -216,7 +214,7 @@ def fit(
             improved = loss - trial[0]
             w, bias = trial_w, trial_b
             loss, grad_w, grad_b = trial
-            if improved < config.tol:
+            if improved < _TOL:
                 break
 
     weights = np.zeros(X.shape[1], dtype=np.float64)
@@ -228,7 +226,7 @@ def fit(
         means=means,
         stds=stds,
         positive_category=positive_category,
-        config=config,
+        l2=l2,
         epochs_run=epochs,
         final_loss=loss,
         diagnostics=diagnostics,
@@ -238,7 +236,7 @@ def fit(
 def train_classifier(
     features: Sequence[FeatureVector],
     positive_category: str,
-    config: TrainConfig = TrainConfig(),
+    l2: float = 1e-3,
 ) -> LogisticModel:
     """Fit a model predicting membership in ``positive_category``.
 
@@ -261,7 +259,7 @@ def train_classifier(
         y,
         feature_names=FEATURE_NAMES,
         positive_category=positive_category,
-        config=config,
+        l2=l2,
     )
 
 
@@ -325,8 +323,8 @@ def evaluate(
 MODEL_SCHEMA = "texcorpus.model.v2"
 
 
-def save_model(model: LogisticModel, path: str | Path) -> None:
-    """Write the model as deterministic JSON."""
+def model_json(model: LogisticModel) -> str:
+    """The model as deterministic JSON text, ending in a newline."""
     payload = {
         "schema": MODEL_SCHEMA,
         "feature_names": list(model.feature_names),
@@ -335,16 +333,10 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
         "means": [float(v) for v in model.means],
         "stds": [float(v) for v in model.stds],
         "positive_category": model.positive_category,
-        "config": {
-            "l2": model.config.l2,
-            "max_epochs": model.config.max_epochs,
-            "tol": model.config.tol,
-        },
+        "config": {"l2": model.l2, "max_epochs": _MAX_EPOCHS, "tol": _TOL},
         "epochs_run": model.epochs_run,
         "final_loss": float(model.final_loss),
         "diagnostics": [str(d) for d in model.diagnostics],
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import re
 import reprlib
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import fields
 from functools import partial
 from itertools import chain
@@ -50,18 +51,19 @@ def _cannot_write(path: str | Path, exc: OSError) -> UsageError:
     return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-class NdjsonWriter:
-    """Newline-delimited JSON with a schema record on the first line.
+class OutputFile:
+    """A text output file, written whole or not at all.
 
-    The file is written whole or not at all. Records go to a temporary
-    file beside the target; leaving the ``with`` block moves it onto the
-    target, or deletes it when the block raised, so the target is never
-    left truncated. A target that exists but is not a regular file, such
-    as ``/dev/null``, cannot be replaced and is written in place. A target
-    that cannot be written is a usage error naming it.
+    Text goes to a temporary file beside the target; leaving the ``with``
+    block moves it onto the target, or deletes it when the block raised,
+    so the target is never left truncated. A target that exists but is not
+    a regular file, such as ``/dev/null``, cannot be replaced and is
+    written in place. A target that cannot be opened or written, a full
+    disk included, is a usage error naming it.
     """
 
-    def __init__(self, path: str | Path, schema_name: str):
+    def __init__(self, path: str | Path):
+        self._path = path
         target = Path(path).resolve()
         if target.is_dir():
             raise UsageError(f"cannot write {path}: Is a directory")
@@ -75,14 +77,13 @@ class NdjsonWriter:
             self._handle = open(written, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
             raise _cannot_write(path, exc) from exc
-        self.write({"record": "schema", "name": schema_name, "version": 1})
-
-    def write(self, obj: dict) -> None:
-        self._handle.write(_dump(obj) + "\n")
 
     def write_lines(self, text: str) -> None:
-        """Append records already serialized as finished lines."""
-        self._handle.write(text)
+        """Append finished lines."""
+        try:
+            self._handle.write(text)
+        except OSError as exc:
+            raise _cannot_write(self._path, exc) from exc
 
     def close(self) -> None:
         """Finish the file: move what was written onto the target."""
@@ -90,17 +91,20 @@ class NdjsonWriter:
             self._handle.close()
             if self._target is not None:
                 os.replace(self._handle.name, self._target)
-        except BaseException:
+        except BaseException as exc:
             self._discard()
+            if isinstance(exc, OSError):
+                raise _cannot_write(self._path, exc) from exc
             raise
 
     def _discard(self) -> None:
         """Drop what was written; the target is left as it was."""
-        self._handle.close()
+        with suppress(OSError):  # flushing text that is dropped anyway
+            self._handle.close()
         if self._target is not None:
             Path(self._handle.name).unlink(missing_ok=True)
 
-    def __enter__(self) -> "NdjsonWriter":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -108,6 +112,18 @@ class NdjsonWriter:
             self.close()
         else:
             self._discard()
+
+
+class NdjsonWriter(OutputFile):
+    """Newline-delimited JSON with a schema record on the first line,
+    written whole or not at all."""
+
+    def __init__(self, path: str | Path, schema_name: str):
+        super().__init__(path)
+        self.write({"record": "schema", "name": schema_name, "version": 1})
+
+    def write(self, obj: dict) -> None:
+        self.write_lines(_dump(obj) + "\n")
 
 
 def _json_object(line: str, where: str) -> dict:
@@ -435,17 +451,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     _stderr_diagnostics(diagnostics)
 
     if args.format == "csv":
-        try:
-            handle = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise _cannot_write(args.out, exc) from exc
-        with handle:
-            handle.write(f"#schema={STATS_SCHEMA}.v1\n")
-            writer = csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n")
-            writer.writerow(scalars)
-            for category in sorted(summaries):
-                values = (getattr(summaries[category], n) for n in scalars)
-                writer.writerow("" if value is None else value for value in values)
+        rows = io.StringIO()
+        writer = csv.writer(rows, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        writer.writerow(scalars)
+        for category in sorted(summaries):
+            values = (getattr(summaries[category], n) for n in scalars)
+            writer.writerow("" if value is None else value for value in values)
+        with OutputFile(args.out) as out:
+            out.write_lines(f"#schema={STATS_SCHEMA}.v1\n" + rows.getvalue())
         return 0
 
     with NdjsonWriter(args.out, STATS_SCHEMA) as out:
@@ -667,21 +680,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     train_set, test_set = classify_mod.train_test_split(
         features, test_fraction=args.test_fraction, seed=args.seed
     )
-    config = classify_mod.TrainConfig(
-        l2=args.l2,
-        max_epochs=args.max_epochs,
-    )
     # The report first, so an unwritable one fails before training and
     # before the model is saved.
     _distinct_outputs(args.model, args.report)
     with NdjsonWriter(args.report, CLASSIFY_SCHEMA) as out:
-        model = classify_mod.train_classifier(train_set, args.positive, config)
+        model = classify_mod.train_classifier(train_set, args.positive, args.l2)
         _stderr_diagnostics(model.diagnostics)
         report = classify_mod.evaluate(model, test_set)
-        try:
-            classify_mod.save_model(model, args.model)
-        except OSError as exc:
-            raise _cannot_write(args.model, exc) from exc
+        with OutputFile(args.model) as model_out:
+            model_out.write_lines(classify_mod.model_json(model))
 
         out.write(
             {
@@ -849,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=_open_fraction, default=0.25)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--l2", type=_l2_weight, default=1e-3)
-    p.add_argument("--max-epochs", type=_positive_int, default=5000)
     p.set_defaults(func=cmd_classify)
 
     return parser

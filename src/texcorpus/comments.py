@@ -211,24 +211,13 @@ _MOVABLE = {
 
 
 class _ReferenceOracle(NormalizingOracle):
-    """NormalizingOracle over ``_normalize_tex``, which never lengthens its
-    input: a second string shorter than the first's normal form cannot
-    normalize to it, so it is answered False without being normalized.
-
-    ``maximal_pairs`` answers through the transducer above, in time linear
-    in len(s) plus the number of maximal pairs.
+    """NormalizingOracle over ``_normalize_tex``. ``maximal_pairs`` answers
+    through the transducer above, in time linear in len(s) plus the number
+    of maximal pairs; every other query goes through the base class.
     """
 
     def __init__(self):
         super().__init__(_normalize_tex)
-
-    def equivalent(self, first: str, second: str) -> bool:
-        self.calls += 1
-        cached = self._last_first
-        if cached is None or cached[0] is not first:
-            cached = self._last_first = (first, _normalize_tex(first))
-        target = cached[1]
-        return len(second) >= len(target) and _normalize_tex(second) == target
 
     def maximal_pairs(self, s: str) -> list[tuple[int, int]]:
         """The same pairs as the base method, and the same n(n+1)/2 calls

@@ -18,9 +18,8 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from datetime import date
-from enum import Enum
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import itemgetter
 
 from .errors import TexcorpusError
@@ -44,19 +43,6 @@ def decode_source(data: bytes | str) -> str:
     return data.decode("utf-8", errors="replace")
 
 
-class TokenKind(Enum):
-    COMMAND = "command"
-    LINE_COMMENT = "line_comment"
-    WORD = "word"
-    GROUP_OPEN = "group_open"
-    GROUP_CLOSE = "group_close"
-    OPT_OPEN = "opt_open"
-    OPT_CLOSE = "opt_close"
-    MATH_SHIFT = "math_shift"
-    WHITESPACE = "whitespace"
-    OTHER = "other"
-
-
 # One code character per kind, TeX's special characters standing for
 # themselves. ``TokenStream.kinds`` is a string of codes, one per token, so
 # that a pass over the tokens of a kind is a regex search over that string,
@@ -64,28 +50,6 @@ class TokenKind(Enum):
 _CODES = "\\%w{}[]$ ."
 (COMMAND, LINE_COMMENT, WORD, GROUP_OPEN, GROUP_CLOSE, OPT_OPEN, OPT_CLOSE,
  MATH_SHIFT, WHITESPACE, OTHER) = _CODES
-_KIND_OF_CODE = dict(zip(_CODES, TokenKind))  # the members, in the codes' order
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Token:
-    """One lexical unit, as a view of one position of a ``TokenStream``.
-
-    ``value`` holds the payload: the command name (without backslash), the
-    comment text (without the ``%`` or the terminating newline), or the raw
-    text for word/whitespace/other tokens. ``start``/``end`` delimit the
-    token's span in the source (0-based, half-open); spans of consecutive
-    tokens tile the source with no gaps or overlaps.
-
-    The stream stores its tokens as columns and builds a Token only when
-    it is indexed or iterated. Tokens compare and hash by value, so treat
-    them as immutable.
-    """
-
-    kind: TokenKind
-    value: str
-    start: int
-    end: int
 
 
 VERBATIM_ENVIRONMENTS = ("verbatim", "verbatim*", "lstlisting")
@@ -334,12 +298,11 @@ class TokenStream:
 
     Token i has the kind coded by the character ``kinds[i]`` (``COMMAND``,
     ``WORD`` and the other code constants of this module) and the value
-    ``values[i]``, and spans ``starts[i]:starts[i + 1]`` of the source:
-    ``starts`` has one entry more than the others, the length of the
-    source, since the tokens tile it. The pipeline reads the columns, and
-    finds the tokens of a kind by a regex search of ``kinds``. Indexing,
-    slicing and iteration build ``Token`` views on demand, with each code
-    mapped back to its ``TokenKind``.
+    ``values[i]``: the command name without its backslash, the comment
+    text without its ``%`` or newline, or else the raw text. It spans
+    ``starts[i]:starts[i + 1]`` of the source: ``starts`` has one entry
+    more than the others, the length of the source, since the tokens tile
+    it. Readers find the tokens of a kind by a regex search of ``kinds``.
 
     ``closers`` is ``group_closers`` of ``kinds`` and ``commands`` maps
     each command name to the positions of its COMMAND tokens, in order.
@@ -356,19 +319,6 @@ class TokenStream:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, index: int | slice) -> Token | list[Token]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self.kinds))[index]]
-        i = range(len(self.kinds))[index]
-        return Token(
-            _KIND_OF_CODE[self.kinds[i]], self.values[i], self.starts[i], self.starts[i + 1]
-        )
-
-    def __iter__(self) -> Iterator[Token]:
-        starts = self.starts
-        kinds = map(_KIND_OF_CODE.__getitem__, self.kinds)
-        return map(Token, kinds, self.values, starts, islice(starts, 1, None))
 
     @cached_property
     def closers(self) -> list[int]:

@@ -23,7 +23,6 @@ import numpy as np
 import golden_docs
 from synth import regression_corpus, two_class_corpus
 from texcorpus.classify import (
-    TrainConfig,
     evaluate,
     loss_and_gradient,
     train_classifier,
@@ -45,7 +44,7 @@ from texcorpus.harvest import (
     parse_listing_feed,
     unpack,
 )
-from texcorpus.lexer import SourceDocument, TokenKind, tokenize
+from texcorpus.lexer import LINE_COMMENT, SourceDocument, tokenize
 from texcorpus.store import CorpusStore, PathTraversal
 from texcorpus.stats import (
     FilterSpec,
@@ -226,24 +225,25 @@ def test_criterion_3_lexer_round_trip(acceptance_verdict):
                 rng.choice(PIECES) for _ in range(rng.randint(0, 12))
             )
             tokens = tokenize(s)
+            spans = list(zip(tokens.starts, tokens.starts[1:]))
             pos = 0
-            for tok in tokens:
-                assert tok.start == pos, f"case {case}: gap in {s!r}"
-                assert tok.end > tok.start
-                pos = tok.end
+            for start, end in spans:
+                assert start == pos, f"case {case}: gap in {s!r}"
+                assert end > start
+                pos = end
             assert pos == len(s)
-            assert "".join(s[t.start : t.end] for t in tokens) == s
+            assert "".join(s[start:end] for start, end in spans) == s
 
             regions = verbatim_regions(s)
-            for tok in tokens:
-                if tok.kind is not TokenKind.LINE_COMMENT:
+            for kind, (start, _) in zip(tokens.kinds, spans):
+                if kind != LINE_COMMENT:
                     continue
                 k = 0
-                while tok.start - 1 - k >= 0 and s[tok.start - 1 - k] == "\\":
+                while start - 1 - k >= 0 and s[start - 1 - k] == "\\":
                     k += 1
                 assert k % 2 == 0, f"case {case}: escaped %% lexed in {s!r}"
                 for lo, hi in regions:
-                    assert not (lo <= tok.start < hi), (
+                    assert not (lo <= start < hi), (
                         f"case {case}: comment inside verbatim in {s!r}"
                     )
 
@@ -382,7 +382,7 @@ def test_criterion_6_classifier(acceptance_verdict):
 
         vectors = two_class_corpus(10_000, seed=0)
         train_set, test_set = train_test_split(vectors)
-        model = train_classifier(train_set, "cs", TrainConfig())
+        model = train_classifier(train_set, "cs")
         report = evaluate(model, test_set)
         assert report.accuracy >= 0.75, f"accuracy {report.accuracy:.3f}"
         assert report.accuracy > report.majority_fraction

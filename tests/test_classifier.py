@@ -7,23 +7,23 @@ import numpy as np
 import pytest
 
 from synth import two_class_corpus
-from texcorpus.cli import parse_feature_record
+from texcorpus import classify
 from texcorpus.classify import (
     FEATURE_NAMES,
     DegenerateFeatures,
     ShapeMismatch,
     SingleClass,
-    TrainConfig,
     evaluate,
     features_matrix,
     fit,
     labels_for,
     loss_and_gradient,
-    save_model,
+    model_json,
     train_classifier,
     train_test_split,
     _sigmoid,
 )
+from texcorpus.cli import parse_feature_record
 
 
 def numeric_gradient(weights, bias, X, y, l2, eps=1e-6):
@@ -118,7 +118,7 @@ class TestFit:
         # at l2 = 0 the constant column would make the Hessian singular
         for l2 in (1e-3, 0.0):
             model = fit(
-                X, y, feature_names=("signal", "flat"), config=TrainConfig(l2=l2)
+                X, y, feature_names=("signal", "flat"), l2=l2
             )
             assert model.weights[1] == 0.0
             assert np.isfinite(model.weights[0]) and model.weights[0] > 0
@@ -146,7 +146,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         X = rng.exponential(size=(40, 2)) ** 3
         y = (X[:, 0] > X[:, 1]).astype(float)
-        model = fit(X, y, feature_names=("a", "b"), config=TrainConfig(l2=0.0))
+        model = fit(X, y, feature_names=("a", "b"), l2=0.0)
         assert np.all(np.isfinite(model.weights))
         assert model.final_loss < 1e-6
 
@@ -159,7 +159,7 @@ class TestFit:
             np.column_stack([x, -x]),
             y,
             feature_names=("x", "minus_x"),
-            config=TrainConfig(l2=0.0),
+            l2=0.0,
         )
         assert model.weights[0] > 0
         assert model.weights[1] == pytest.approx(-model.weights[0])
@@ -170,16 +170,16 @@ class TestFit:
         # labels; an unscaled least-squares cutoff of about l2 dropped it
         X = np.random.default_rng(6).normal(size=(100, 2))
         y = np.array([1.0] * 80 + [0.0] * 20)
-        model = fit(X, y, feature_names=("a", "b"), config=TrainConfig(l2=l2))
+        model = fit(X, y, feature_names=("a", "b"), l2=l2)
         assert model.bias == pytest.approx(np.log(80 / 20), rel=1e-6)
 
-    def test_loss_never_increases_under_default_config(self):
+    def test_loss_never_increases_under_default_config(self, monkeypatch):
         corpus = two_class_corpus(400, seed=3)
         model = train_classifier(corpus, "cs")
-        losses = [
-            train_classifier(corpus, "cs", TrainConfig(max_epochs=k)).final_loss
-            for k in range(1, model.epochs_run + 1)
-        ]
+        losses = []
+        for k in range(1, model.epochs_run + 1):
+            monkeypatch.setattr(classify, "_MAX_EPOCHS", k)
+            losses.append(train_classifier(corpus, "cs").final_loss)
         assert losses == sorted(losses, reverse=True)
         assert losses[-1] == model.final_loss
 
@@ -227,16 +227,15 @@ class TestOptimality:
     )
     def test_fit_reaches_the_optimum(self, make_corpus, positive):
         corpus = make_corpus()
-        config = TrainConfig()
-        model = train_classifier(corpus, positive, config)
+        model = train_classifier(corpus, positive)
         Xs = (features_matrix(corpus) - model.means) / model.stds
         y = labels_for(corpus, positive)
         loss, grad_w, grad_b = loss_and_gradient(
-            model.weights, model.bias, Xs, y, config.l2
+            model.weights, model.bias, Xs, y, model.l2
         )
         assert loss == pytest.approx(model.final_loss, rel=1e-12)
         assert np.linalg.norm(np.append(grad_w, grad_b)) < 1e-6
-        assert model.final_loss <= gradient_descent_loss(Xs, y, config.l2)
+        assert model.final_loss <= gradient_descent_loss(Xs, y, model.l2)
         assert 1 <= model.epochs_run <= 50
 
 
@@ -294,9 +293,7 @@ class TestEvaluate:
 
 
 class TestPersistence:
-    def test_save_is_deterministic(self, tmp_path):
+    def test_save_is_deterministic(self):
         corpus = two_class_corpus(100, seed=8)
         model = train_classifier(corpus, "cs")
-        save_model(model, tmp_path / "a.json")
-        save_model(model, tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert model_json(model) == model_json(train_classifier(corpus, "cs"))

@@ -8,6 +8,9 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import texcorpus
 from synth import two_class_corpus
 from texcorpus import cli, harvest
 from texcorpus import features as features_mod
@@ -145,6 +149,27 @@ def ndjson_bytes(schema_name, records):
 def write_features(path, records):
     path.write_bytes(ndjson_bytes(FEATURES_SCHEMA, records))
     return path
+
+
+SRC = Path(texcorpus.__file__).resolve().parent.parent
+
+
+def main_with_file_size_limit(argv, limit):
+    """Run the CLI in a child process whose files cannot grow past
+    ``limit`` bytes, so that an output fails part-way through its write."""
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "texcorpus.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=limit_file_size,
+        capture_output=True,
+        text=True,
+    )
 
 
 def run_extract(root, jobs=1):
@@ -342,6 +367,33 @@ class TestExtract:
         assert out.read_bytes() == b"earlier run\n"
         assert sorted(os.listdir(corpus40)) == ["corpus", "features.ndjson"]
 
+    @pytest.mark.parametrize("words_per_doc", [10, 2000])
+    def test_outputs_that_fail_part_way_leave_the_earlier_files(
+        self, tmp_path, words_per_doc
+    ):
+        # with 10 words the outputs fail as they are closed; with 2000 the
+        # words output outgrows its write buffer, so a write itself fails
+        store = CorpusStore(tmp_path / "corpus")
+        for i in range(20):
+            body = "\\documentclass{article}\n" + f"word{i} " * words_per_doc
+            store.save(SourceDocument(id=f"doc/{i:04d}", files=[("main.tex", body.encode())]))
+        out = tmp_path / "features.ndjson"
+        out.write_bytes(b"earlier run\n")
+        run = main_with_file_size_limit(
+            [
+                "extract",
+                "--corpus", str(tmp_path / "corpus"),
+                "--out", str(out),
+                "--comments", str(tmp_path / "comments.ndjson"),
+                "--words", str(tmp_path / "words.ndjson"),
+            ],
+            2048,
+        )
+        assert run.returncode == 2
+        assert "File too large" in run.stderr
+        assert out.read_bytes() == b"earlier run\n"
+        assert sorted(os.listdir(tmp_path)) == ["corpus", "features.ndjson"]
+
     def test_empty_corpus_is_usage_error(self, tmp_path):
         (tmp_path / "corpus").mkdir()
         code = main(
@@ -421,6 +473,20 @@ class TestStats:
         )
         assert code == 2
         assert f"cannot write {target}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["ndjson", "csv"])
+    def test_output_that_fails_part_way_leaves_the_earlier_file(self, corpus, form):
+        out, _, _ = run_extract(corpus)
+        target = corpus / f"stats.{form}"
+        target.write_text("earlier\n")
+        argv = ["stats", "--features", str(out), "--out", str(target), "--format", form]
+        run = main_with_file_size_limit(argv, 120)
+        assert run.returncode == 2
+        assert f"cannot write {target}: File too large" in run.stderr
+        assert target.read_text() == "earlier\n"
+        assert sorted(os.listdir(corpus)) == sorted(
+            ["corpus", f"stats.{form}", "features.ndjson", "comments.ndjson", "words.ndjson"]
+        )
 
     def test_output_that_is_a_directory_is_usage_error(self, corpus, capsys):
         out, _, _ = run_extract(corpus)
@@ -604,7 +670,6 @@ class TestClassify:
                 "--positive", "cs",
                 "--model", str(model_path),
                 "--report", str(report_path),
-                "--max-epochs", "800",
             ]
         )
         assert code == 0
@@ -633,7 +698,6 @@ class TestClassify:
                     "--positive", "cs",
                     "--model", str(model_path),
                     "--report", str(report_path),
-                    "--max-epochs", "300",
                 ]
             )
             assert code == 0
@@ -720,10 +784,6 @@ class TestClassify:
         [
             ("--l2", l2, "a finite number of at least 0")
             for l2 in ("nan", "inf", "1e400", "-1")
-        ]
-        + [
-            ("--max-epochs", epochs, "an integer of at least 1")
-            for epochs in ("0", "-5")
         ],
     )
     def test_training_option_out_of_range_is_usage_error(
@@ -762,7 +822,6 @@ class TestClassify:
                 "--model", str(model_path),
                 "--report", str(tmp_path / "r.ndjson"),
                 "--l2", "0",
-                "--max-epochs", "50",
             ]
         )
         assert code == 0
@@ -784,7 +843,6 @@ class TestClassify:
                 "--positive", "cs",
                 "--model", str(model),
                 "--report", str(tmp_path / "r"),
-                "--max-epochs", "50",
             ]
         )
         assert code == 2
@@ -810,13 +868,32 @@ class TestClassify:
                 "--positive", "cs",
                 "--model", str(model),
                 "--report", str(report),
-                "--max-epochs", "50",
             ]
         )
         assert code == 2
         assert f"cannot write {report}: " in capsys.readouterr().err
         assert trained == []
         assert sorted(os.listdir(tmp_path)) == ["features.ndjson"]
+
+    def test_model_that_fails_part_way_leaves_the_earlier_model(self, tmp_path):
+        features = tmp_path / "features.ndjson"
+        self.write_features(features, two_class_corpus(40, seed=2))
+        model = tmp_path / "model.json"
+        model.write_text("earlier\n")
+        run = main_with_file_size_limit(
+            [
+                "classify",
+                "--features", str(features),
+                "--positive", "cs",
+                "--model", str(model),
+                "--report", str(tmp_path / "r.ndjson"),
+            ],
+            300,
+        )
+        assert run.returncode == 2
+        assert f"cannot write {model}: File too large" in run.stderr
+        assert model.read_text() == "earlier\n"
+        assert sorted(os.listdir(tmp_path)) == ["features.ndjson", "model.json"]
 
     def test_model_and_report_on_one_file_is_usage_error(self, tmp_path, capsys):
         features = tmp_path / "features.ndjson"
@@ -829,7 +906,6 @@ class TestClassify:
                 "--positive", "cs",
                 "--model", same,
                 "--report", same,
-                "--max-epochs", "50",
             ]
         )
         assert code == 2
@@ -1116,7 +1192,6 @@ class TestFeatureRecordFuzz:
                 "--positive", "cs",
                 "--model", str(tmp_path / "model"),
                 "--report", str(tmp_path / "report"),
-                "--max-epochs", "20",
             ],
         ):
             err = io.StringIO()
@@ -1213,7 +1288,6 @@ def analysis_argv(draw):
         argv += ["--positive", draw(option("cs", "math", "zz"))]
         argv += ["--test-fraction", draw(option("0.25", "0.5", "1"))]
         argv += ["--seed", draw(option("-2", "-1", "0", "7", str(2**70)))]
-        argv += ["--max-epochs", draw(option("-1", "0", "20"))]
         argv += ["--l2", draw(option("0.001", "0", "1e308", "-1", "nan", "1e400"))]
     inputs = ["features"]
     if command == "discriminate" and draw(st.booleans()):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_docs
-from test_lexer import loop_tokenize
+from test_lexer import loop_tokenize, token_tuples
 from texcorpus import features, lexer
 from texcorpus.comments import (
     CommentSpan,
@@ -29,9 +29,15 @@ from texcorpus.features import (
     inline_sources,
 )
 from texcorpus.lexer import (
+    COMMAND,
+    GROUP_CLOSE,
+    GROUP_OPEN,
+    LINE_COMMENT,
     NoMainFile,
+    OPT_CLOSE,
+    OPT_OPEN,
     SourceDocument,
-    TokenKind,
+    WORD,
     alphabetic_words,
     group_closers,
     tokenize,
@@ -314,20 +320,21 @@ class TestWords:
 
     @staticmethod
     def reference_collect_words(tokens, exclude_spans=None):
-        """collect_words as one alphabetic_words call per token."""
+        """collect_words as one alphabetic_words call per (kind, value,
+        start, end) token."""
         ranges = exclude_spans or []
         words = []
         ri = 0
-        for tok in tokens:
-            if tok.kind not in (TokenKind.COMMAND, TokenKind.WORD):
+        for kind, value, start, end in tokens:
+            if kind not in (COMMAND, WORD):
                 continue
-            while ri < len(ranges) and ranges[ri][1] <= tok.start:
+            while ri < len(ranges) and ranges[ri][1] <= start:
                 ri += 1
             if ri < len(ranges):
                 lo, hi = ranges[ri]
-                if tok.start >= lo and tok.end <= hi:
+                if start >= lo and end <= hi:
                     continue
-            words.extend(alphabetic_words(tok.value))
+            words.extend(alphabetic_words(value))
         return words
 
     # ASCII and other letters, ASCII, Arabic-Indic and superscript digits,
@@ -346,14 +353,13 @@ class TestWords:
     @given(WORDY, st.data())
     def test_matches_per_token_reference(self, text, data):
         tokens = tokenize(text)
-        assert collect_words(tokens) == self.reference_collect_words(tokens)
+        views = token_tuples(text)
+        assert collect_words(tokens) == self.reference_collect_words(views)
         bounds = data.draw(
             st.lists(st.integers(0, len(text)), unique=True, max_size=6).map(sorted)
         )
         spans = list(zip(bounds[::2], bounds[1::2]))
-        assert collect_words(tokens, spans) == self.reference_collect_words(
-            tokens, spans
-        )
+        assert collect_words(tokens, spans) == self.reference_collect_words(views, spans)
 
     def test_newcommand_counting(self):
         tokens = tokenize(
@@ -502,16 +508,15 @@ class TestOneTokenization:
     def test_command_index_matches_a_filter_walk(self, doc_id):
         labels, _ = golden_document(doc_id)
         tokens = tokenize(golden_docs.assembled_text(labels))
+        pairs = list(enumerate(zip(tokens.kinds, tokens.values)))
         walk = {}
-        for i, tok in enumerate(tokens):
-            if tok.kind is TokenKind.COMMAND:
-                walk.setdefault(tok.value, []).append(i)
+        for i, (kind, value) in pairs:
+            if kind == COMMAND:
+                walk.setdefault(value, []).append(i)
         assert tokens.commands == walk
         names = set(sorted(walk)[::2]) | {"absent"}
         assert tokens.command_positions(names) == [
-            i
-            for i, tok in enumerate(tokens)
-            if tok.kind is TokenKind.COMMAND and tok.value in names
+            i for i, (kind, value) in pairs if kind == COMMAND and value in names
         ]
 
     def test_one_tokenize_per_document_none_in_inlining(self, monkeypatch):
@@ -521,59 +526,45 @@ class TestOneTokenization:
             calls.append(source)
             return tokenize(source)
 
-        def no_token(*args):
-            raise AssertionError("inline_sources built a Token")
-
         monkeypatch.setattr(lexer, "tokenize", counting_tokenize)
         monkeypatch.setattr(features, "tokenize", counting_tokenize)
         docs = [golden_document(doc_id)[1] for doc_id in GOLDEN_IDS]
         multi = [doc for doc in docs if doc.multi_file]
         assert multi
-        with monkeypatch.context() as patch:
-            patch.setattr(lexer, "Token", no_token)
-            for doc in multi:
-                inline_sources(doc.texts(), lexer.detect_main_file(doc.files))
+        for doc in multi:
+            inline_sources(doc.texts(), lexer.detect_main_file(doc.files))
         assert calls == []
 
         for doc in docs:
             extract_document(doc)
         assert len(calls) == len(docs)
 
-    def test_extraction_reads_the_columns_and_builds_no_token(self, monkeypatch):
-        def no_token(*args):
-            raise AssertionError("extract_document built a Token")
-
-        monkeypatch.setattr(lexer, "Token", no_token)
-        for doc_id in GOLDEN_IDS:
-            labels, doc = golden_document(doc_id)
-            assert extract_document(doc).features.doc_id == labels["id"]
-
 
 def walk_closers(tokens):
-    """The brace table by one walk over the Token views."""
+    """The brace table by one walk over (kind, value, start, end) tokens."""
     closers = [-1] * len(tokens)
     groups, options = [], []
-    for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.GROUP_OPEN:
+    for i, (kind, *_) in enumerate(tokens):
+        if kind == GROUP_OPEN:
             groups.append(i)
-        elif tok.kind is TokenKind.GROUP_CLOSE:
+        elif kind == GROUP_CLOSE:
             if groups:
                 closers[groups.pop()] = i
-        elif tok.kind is TokenKind.OPT_OPEN:
+        elif kind == OPT_OPEN:
             options.append(i)
-        elif tok.kind is TokenKind.OPT_CLOSE:
+        elif kind == OPT_CLOSE:
             for j in options:
                 closers[j] = i
             options.clear()
     return closers
 
 
-def value_from_span(source, tok):
+def value_from_span(source, kind, start, end):
     """A token's value cut from its span of the source."""
-    text = source[tok.start : tok.end]
-    if tok.kind is TokenKind.COMMAND:
+    text = source[start:end]
+    if kind == COMMAND:
         return text[1:]
-    if tok.kind is TokenKind.LINE_COMMENT:
+    if kind == LINE_COMMENT:
         return text[1:].removesuffix("\n")
     return text
 
@@ -595,31 +586,30 @@ CODED = st.lists(
 
 
 class TestCodeStringAgainstViews:
-    """Each structure read off the kind codes equals a walk over the Token
-    views, which map every code back to its TokenKind; the views' kinds
+    """Each structure read off the kind codes equals a walk over the
+    tokens one at a time, as (kind, value, start, end) tuples; the kinds
     are those of the loop tokenizer."""
 
     @settings(max_examples=1000, deadline=None)
     @given(CODED, st.data())
     def test_structures_match_a_walk(self, source, data):
         tokens = tokenize(source)
-        views = list(tokens)
+        views = token_tuples(source)
         assert isinstance(tokens.kinds, str) and len(tokens.kinds) == len(views)
-        assert [tok.kind for tok in views] == [kind for kind, *_ in loop_tokenize(source)]
-        assert tokens.values == [value_from_span(source, tok) for tok in views]
+        assert [kind for kind, *_ in views] == [kind for kind, *_ in loop_tokenize(source)]
+        assert tokens.values == [
+            value_from_span(source, kind, start, end) for kind, _, start, end in views
+        ]
         assert tokens.closers == walk_closers(views)
         walk = {}
-        for i, tok in enumerate(views):
-            if tok.kind is TokenKind.COMMAND:
-                walk.setdefault(tok.value, []).append(i)
+        for i, (kind, value, *_) in enumerate(views):
+            if kind == COMMAND:
+                walk.setdefault(value, []).append(i)
         assert tokens.commands == walk
         assert extract_line_comments(source, tokens) == [
-            CommentSpan(
-                kind="line", start=tok.start + 1, end=tok.start + 1 + len(tok.value),
-                text=tok.value,
-            )
-            for tok in views
-            if tok.kind is TokenKind.LINE_COMMENT
+            CommentSpan(kind="line", start=start + 1, end=start + 1 + len(value), text=value)
+            for kind, value, start, _ in views
+            if kind == LINE_COMMENT
         ]
         reference = TestWords.reference_collect_words
         assert collect_words(tokens) == reference(views)

@@ -8,12 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_docs
+from texcorpus import lexer
 from texcorpus.features import inline_sources
 from texcorpus.lexer import (
+    COMMAND,
+    GROUP_CLOSE,
+    GROUP_OPEN,
+    LINE_COMMENT,
+    MATH_SHIFT,
     NoMainFile,
+    OPT_CLOSE,
+    OPT_OPEN,
+    OTHER,
     SourceDocument,
-    Token,
-    TokenKind,
+    WHITESPACE,
+    WORD,
     alphabetic_words,
     decode_source,
     detect_main_file,
@@ -29,8 +38,14 @@ LATEXISH = st.lists(
 ).map("".join)
 
 
-def kinds(tokens):
-    return [t.kind for t in tokens]
+def token_tuples(text):
+    """The tokens of ``text`` as (kind code, value, start, end) tuples."""
+    ts = tokenize(text)
+    return list(zip(ts.kinds, ts.values, ts.starts, ts.starts[1:]))
+
+
+def spans(tokens):
+    return list(zip(tokens.starts, tokens.starts[1:]))
 
 
 class TestRoundTrip:
@@ -38,23 +53,27 @@ class TestRoundTrip:
     @settings(max_examples=300)
     def test_arbitrary_text_reassembles(self, source):
         tokens = tokenize(source)
-        assert "".join(source[t.start : t.end] for t in tokens) == source
+        assert "".join(source[a:b] for a, b in spans(tokens)) == source
+        assert set(tokens.kinds) <= set(lexer._CODES)
 
     @given(LATEXISH)
     @settings(max_examples=300)
     def test_latexish_text_reassembles(self, source):
         tokens = tokenize(source)
-        assert "".join(source[t.start : t.end] for t in tokens) == source
+        assert "".join(source[a:b] for a, b in spans(tokens)) == source
+        assert set(tokens.kinds) <= set(lexer._CODES)
 
     @given(LATEXISH)
     def test_spans_tile_without_gaps(self, source):
         tokens = tokenize(source)
-        position = 0
-        for tok in tokens:
-            assert tok.start == position
-            assert tok.end > tok.start
-            position = tok.end
-        assert position == len(source)
+        assert tokens.starts[0] == 0 and tokens.starts[-1] == len(source)
+        assert all(a < b for a, b in spans(tokens))
+
+    def test_the_ten_kind_codes_are_distinct(self):
+        codes = (COMMAND, LINE_COMMENT, WORD, GROUP_OPEN, GROUP_CLOSE, OPT_OPEN,
+                 OPT_CLOSE, MATH_SHIFT, WHITESPACE, OTHER)
+        assert len(set(codes)) == len(codes) == len(lexer._CODES)
+        assert set(codes) == set(lexer._CODES)
 
 
 _REF_BEGIN_VERBATIM_RE = re.compile(r"[ \t]*\{(verbatim|verbatim\*|lstlisting)\}")
@@ -62,11 +81,11 @@ _REF_PLAIN_RUN_RE = re.compile(r"(\s+)|\S+")
 _REF_WS_RE = re.compile(r"\s+")
 _REF_ALNUM_RE = re.compile(r"[^\W_]+")
 _REF_SINGLE_CHAR_KINDS = {
-    "{": TokenKind.GROUP_OPEN,
-    "}": TokenKind.GROUP_CLOSE,
-    "[": TokenKind.OPT_OPEN,
-    "]": TokenKind.OPT_CLOSE,
-    "$": TokenKind.MATH_SHIFT,
+    "{": GROUP_OPEN,
+    "}": GROUP_CLOSE,
+    "[": OPT_OPEN,
+    "]": OPT_CLOSE,
+    "$": MATH_SHIFT,
 }
 
 
@@ -77,24 +96,24 @@ def loop_tokenize(text):
 
     def plain_runs(start, end):
         for m in _REF_PLAIN_RUN_RE.finditer(text, start, end):
-            kind = TokenKind.WHITESPACE if m.lastindex == 1 else TokenKind.WORD
+            kind = WHITESPACE if m.lastindex == 1 else WORD
             tokens.append((kind, m.group(), m.start(), m.end()))
 
     def lex_verb(i):
         n = len(text)
         if i < n and text[i] == "*":
-            tokens.append((TokenKind.OTHER, "*", i, i + 1))
+            tokens.append((OTHER, "*", i, i + 1))
             i += 1
         if i >= n or text[i] == "\n":
             return i
         delim = text[i]
-        tokens.append((TokenKind.OTHER, delim, i, i + 1))
+        tokens.append((OTHER, delim, i, i + 1))
         j = i + 1
         while j < n and text[j] != delim and text[j] != "\n":
             j += 1
         plain_runs(i + 1, j)
         if j < n and text[j] == delim:
-            tokens.append((TokenKind.OTHER, delim, j, j + 1))
+            tokens.append((OTHER, delim, j, j + 1))
             j += 1
         return j
 
@@ -117,7 +136,7 @@ def loop_tokenize(text):
                 while j < n and text[j] in ascii_letters:
                     j += 1
                 name = text[i + 1 : j]
-                tokens.append((TokenKind.COMMAND, name, i, j))
+                tokens.append((COMMAND, name, i, j))
                 i = j
                 if name == "verb":
                     i = lex_verb(i)
@@ -126,38 +145,34 @@ def loop_tokenize(text):
                     if m:
                         pending_verbatim = (m.end(), m.group(1))
             elif i + 1 < n:
-                tokens.append((TokenKind.COMMAND, text[i + 1], i, i + 2))
+                tokens.append((COMMAND, text[i + 1], i, i + 2))
                 i += 2
             else:
-                tokens.append((TokenKind.OTHER, "\\", i, n))
+                tokens.append((OTHER, "\\", i, n))
                 i = n
         elif c == "%":
             stop = text.find("\n", i)
             if stop == -1:
-                tokens.append((TokenKind.LINE_COMMENT, text[i + 1 :], i, n))
+                tokens.append((LINE_COMMENT, text[i + 1 :], i, n))
                 i = n
             else:
-                tokens.append((TokenKind.LINE_COMMENT, text[i + 1 : stop], i, stop + 1))
+                tokens.append((LINE_COMMENT, text[i + 1 : stop], i, stop + 1))
                 i = stop + 1
         elif c in _REF_SINGLE_CHAR_KINDS:
             tokens.append((_REF_SINGLE_CHAR_KINDS[c], c, i, i + 1))
             i += 1
         elif c.isspace():
             m = _REF_WS_RE.match(text, i)
-            tokens.append((TokenKind.WHITESPACE, m.group(0), i, m.end()))
+            tokens.append((WHITESPACE, m.group(0), i, m.end()))
             i = m.end()
         elif c.isalnum():
             m = _REF_ALNUM_RE.match(text, i)
-            tokens.append((TokenKind.WORD, m.group(0), i, m.end()))
+            tokens.append((WORD, m.group(0), i, m.end()))
             i = m.end()
         else:
-            tokens.append((TokenKind.OTHER, c, i, i + 1))
+            tokens.append((OTHER, c, i, i + 1))
             i += 1
     return tokens
-
-
-def token_tuples(text):
-    return [(t.kind, t.value, t.start, t.end) for t in tokenize(text)]
 
 
 # TeX's special characters, ASCII letters and digits, line ends, non-ASCII
@@ -190,150 +205,131 @@ class TestAgainstLoopTokenizer:
     def test_views_read_the_columns(self):
         text = "\\verb|%x| a{b}\\\\ %c\n\\begin{verbatim}%v\\end{verbatim}\\"
         tokens = tokenize(text)
+        assert len(tokens.values) == len(tokens) == len(tokens.kinds)
         assert len(tokens.starts) == len(tokens) + 1
         assert tokens.starts[-1] == len(text)
-        assert list(tokens) == [tokens[i] for i in range(len(tokens))]
-        assert tokens[-1] == Token(TokenKind.OTHER, "\\", len(text) - 1, len(text))
-        assert tokens[1:3] == list(tokens)[1:3]
-        with pytest.raises(IndexError):
-            tokens[len(tokens)]
+        assert token_tuples(text)[-1] == (OTHER, "\\", len(text) - 1, len(text))
 
 
 class TestComments:
     def test_comment_token_stops_at_newline(self):
         tokens = tokenize("x %note\ny")
-        assert kinds(tokens) == [
-            TokenKind.WORD,
-            TokenKind.WHITESPACE,
-            TokenKind.LINE_COMMENT,
-            TokenKind.WORD,
-        ]
-        comment = tokens[2]
-        assert comment.value == "note"
+        assert tokens.kinds == WORD + WHITESPACE + LINE_COMMENT + WORD
         # span covers the newline so the stream stays lossless
-        assert "x %note\ny"[comment.start : comment.end] == "%note\n"
+        assert token_tuples("x %note\ny")[2] == (LINE_COMMENT, "note", 2, 8)
 
     def test_escaped_percent_is_a_command(self):
         tokens = tokenize(r"100\% sure")
-        assert TokenKind.LINE_COMMENT not in kinds(tokens)
-        percent = [t for t in tokens if t.kind is TokenKind.COMMAND]
-        assert percent and percent[0].value == "%"
+        assert LINE_COMMENT not in tokens.kinds
+        assert tokens.kinds[1] == COMMAND and tokens.values[1] == "%"
 
     def test_comment_at_end_of_input(self):
-        tokens = tokenize("a %tail")
-        assert tokens[-1].kind is TokenKind.LINE_COMMENT
-        assert tokens[-1].value == "tail"
+        assert token_tuples("a %tail")[-1] == (LINE_COMMENT, "tail", 2, 7)
 
     def test_empty_comment(self):
-        tokens = tokenize("%\nx")
-        assert tokens[0].kind is TokenKind.LINE_COMMENT
-        assert tokens[0].value == ""
+        assert token_tuples("%\nx")[0] == (LINE_COMMENT, "", 0, 2)
 
     @given(st.text(alphabet="ab% \\\n", max_size=60))
     def test_comment_only_after_even_backslash_run(self, source):
         # \% is escaped, \\% is not (the backslashes pair up), \\\% is again
-        for tok in tokenize(source):
-            if tok.kind is TokenKind.LINE_COMMENT:
-                assert source[tok.start] == "%"
+        for kind, _, start, _ in token_tuples(source):
+            if kind == LINE_COMMENT:
+                assert source[start] == "%"
                 run = 0
-                while tok.start - 1 - run >= 0 and source[tok.start - 1 - run] == "\\":
+                while start - 1 - run >= 0 and source[start - 1 - run] == "\\":
                     run += 1
                 assert run % 2 == 0
 
 
 class TestCommands:
     def test_letter_run_command(self):
-        tokens = tokenize(r"\textbf{x}")
-        assert tokens[0].kind is TokenKind.COMMAND
-        assert tokens[0].value == "textbf"
+        assert token_tuples(r"\textbf{x}")[0] == (COMMAND, "textbf", 0, 7)
 
     def test_single_nonletter_command(self):
         tokens = tokenize("\\$5")
-        assert tokens[0].kind is TokenKind.COMMAND
-        assert tokens[0].value == "$"
-        assert tokens[1].kind is TokenKind.WORD
+        assert tokens.kinds == COMMAND + WORD
+        assert tokens.values[0] == "$"
 
     def test_lone_trailing_backslash(self):
-        tokens = tokenize("end\\")
-        assert tokens[-1].kind is TokenKind.OTHER
-        assert tokens[-1].value == "\\"
+        assert token_tuples("end\\")[-1] == (OTHER, "\\", 3, 4)
 
     def test_double_backslash(self):
         tokens = tokenize(r"a\\b")
-        assert kinds(tokens) == [TokenKind.WORD, TokenKind.COMMAND, TokenKind.WORD]
-        assert tokens[1].value == "\\"
+        assert tokens.kinds == WORD + COMMAND + WORD
+        assert tokens.values[1] == "\\"
+
+
+def values_of(tokens, kind):
+    return [v for k, v in zip(tokens.kinds, tokens.values) if k == kind]
 
 
 class TestVerbatim:
     def test_percent_inside_verbatim_is_not_a_comment(self):
         source = "\\begin{verbatim}\n% kept\n\\end{verbatim}\n"
         tokens = tokenize(source)
-        assert TokenKind.LINE_COMMENT not in kinds(tokens)
-        words = [t.value for t in tokens if t.kind is TokenKind.WORD]
-        assert "%" in words
+        assert LINE_COMMENT not in tokens.kinds
+        assert "%" in values_of(tokens, WORD)
 
     def test_starred_verbatim_and_lstlisting(self):
         for env in ("verbatim*", "lstlisting"):
             source = f"\\begin{{{env}}}x % y\\end{{{env}}}"
-            assert TokenKind.LINE_COMMENT not in kinds(tokenize(source))
+            assert LINE_COMMENT not in tokenize(source).kinds
 
     def test_unclosed_verbatim_runs_to_end(self):
         source = "\\begin{verbatim}\n% a\n% b"
         tokens = tokenize(source)
-        assert TokenKind.LINE_COMMENT not in kinds(tokens)
-        assert "".join(source[t.start : t.end] for t in tokens) == source
+        assert LINE_COMMENT not in tokens.kinds
+        assert "".join(source[a:b] for a, b in spans(tokens)) == source
 
     def test_comment_resumes_after_verbatim(self):
         source = "\\begin{verbatim}%in\\end{verbatim}\n%out\n"
-        tokens = tokenize(source)
-        comments = [t for t in tokens if t.kind is TokenKind.LINE_COMMENT]
-        assert [t.value for t in comments] == ["out"]
+        assert values_of(tokenize(source), LINE_COMMENT) == ["out"]
 
     def test_verb_argument_is_opaque(self):
         tokens = tokenize(r"\verb|% x| tail")
-        assert TokenKind.LINE_COMMENT not in kinds(tokens)
-        assert [t.value for t in tokens if t.kind is TokenKind.WORD][-1] == "tail"
+        assert LINE_COMMENT not in tokens.kinds
+        assert values_of(tokens, WORD)[-1] == "tail"
 
     def test_verb_star_and_unusual_delimiter(self):
         tokens = tokenize(r"\verb*+%+rest")
-        assert TokenKind.LINE_COMMENT not in kinds(tokens)
+        assert LINE_COMMENT not in tokens.kinds
 
     def test_verb_stops_at_newline(self):
         # an unterminated \verb cannot swallow the next line
         tokens = tokenize("\\verb|abc\n%real\n")
-        assert TokenKind.LINE_COMMENT in kinds(tokens)
+        assert LINE_COMMENT in tokens.kinds
 
     @given(st.text(alphabet="ab%{ \t\n\x1c\xa0\u2003", max_size=40))
     @settings(max_examples=200)
     def test_verbatim_body_is_alternating_runs(self, body):
         # unicode whitespace too: runs split exactly where str.isspace does
-        tokens = tokenize("\\begin{verbatim}" + body)[4:]
-        assert "".join(t.value for t in tokens) == body
-        for tok in tokens:
-            assert tok.kind in (TokenKind.WORD, TokenKind.WHITESPACE)
-            space = tok.kind is TokenKind.WHITESPACE
-            assert all(c.isspace() == space for c in tok.value)
-        assert all(a.kind is not b.kind for a, b in zip(tokens, tokens[1:]))
+        tokens = tokenize("\\begin{verbatim}" + body)
+        kinds, values = tokens.kinds[4:], tokens.values[4:]
+        assert "".join(values) == body
+        assert set(kinds) <= {WORD, WHITESPACE}
+        for kind, value in zip(kinds, values):
+            assert all(c.isspace() == (kind == WHITESPACE) for c in value)
+        assert all(a != b for a, b in zip(kinds, kinds[1:]))
 
 
-def rescan_closers(tokens):
+def rescan_closers(kinds):
     """The brace table as found by rescanning from every opener."""
     closers = []
-    for i, tok in enumerate(tokens):
+    for i, kind in enumerate(kinds):
         close = -1
-        if tok.kind is TokenKind.GROUP_OPEN:
+        if kind == GROUP_OPEN:
             depth = 0
-            for j in range(i, len(tokens)):
-                if tokens[j].kind is TokenKind.GROUP_OPEN:
+            for j in range(i, len(kinds)):
+                if kinds[j] == GROUP_OPEN:
                     depth += 1
-                elif tokens[j].kind is TokenKind.GROUP_CLOSE:
+                elif kinds[j] == GROUP_CLOSE:
                     depth -= 1
                     if depth == 0:
                         close = j
                         break
-        elif tok.kind is TokenKind.OPT_OPEN:
-            for j in range(i + 1, len(tokens)):
-                if tokens[j].kind is TokenKind.OPT_CLOSE:
+        elif kind == OPT_OPEN:
+            for j in range(i + 1, len(kinds)):
+                if kinds[j] == OPT_CLOSE:
                     close = j
                     break
         closers.append(close)
@@ -357,7 +353,7 @@ class TestGroupClosers:
     @settings(max_examples=500)
     def test_matches_rescan(self, source):
         tokens = tokenize(source)
-        assert group_closers(tokens.kinds) == rescan_closers(tokens)
+        assert group_closers(tokens.kinds) == rescan_closers(tokens.kinds)
 
 
 # the pieces that decide whether a backslash starts \input: escapes,
@@ -378,9 +374,9 @@ INPUTS = ("input", "include")
 
 def filtered_commands(text, names):
     return [
-        (t.value, t.start, t.end)
-        for t in tokenize(text)
-        if t.kind is TokenKind.COMMAND and t.value in names
+        (value, start, end)
+        for kind, value, start, end in token_tuples(text)
+        if kind == COMMAND and value in names
     ]
 
 
@@ -420,20 +416,6 @@ class TestScanCommands:
         ]
 
 
-class TestToken:
-    def test_value_semantics(self):
-        tok = Token(TokenKind.WORD, "x", 0, 1)
-        assert tok == Token(TokenKind.WORD, "x", 0, 1)
-        assert tok != Token(TokenKind.WORD, "x", 0, 2)
-        assert hash(tok) == hash((TokenKind.WORD, "x", 0, 1))
-        assert repr(tok) == (
-            "Token(kind=<TokenKind.WORD: 'word'>, value='x', start=0, end=1)"
-        )
-
-    def test_slotted(self):
-        assert not hasattr(Token(TokenKind.WORD, "x", 0, 1), "__dict__")
-
-
 class TestWordsAndDecode:
     def test_alphabetic_words_casefold_and_splits(self):
         assert alphabetic_words("Hello don't utf8x") == [
@@ -452,12 +434,7 @@ class TestWordsAndDecode:
         assert "caf" in text and "\ufffd" in text
 
     def test_underscore_is_not_a_word_character(self):
-        tokens = tokenize("a_b")
-        assert [t.kind for t in tokens] == [
-            TokenKind.WORD,
-            TokenKind.OTHER,
-            TokenKind.WORD,
-        ]
+        assert tokenize("a_b").kinds == WORD + OTHER + WORD
 
 
 class TestMainFileDetection:
