@@ -17,7 +17,6 @@ import json
 import math
 import os
 import re
-import reprlib
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, suppress
@@ -28,7 +27,13 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import Diagnostic, TexcorpusError
-from .records import FeatureVector, iso_date
+from .records import (
+    FEATURE_WIRE,
+    FeatureVector,
+    feature_record,
+    iso_date,
+    parse_feature_record,
+)
 
 FEATURES_SCHEMA = "texcorpus.features"
 COMMENTS_SCHEMA = "texcorpus.comments"
@@ -178,111 +183,12 @@ def read_ndjson(path: str | Path, schema_name: str) -> list[dict]:
     return [record for _, record in _numbered_records(path, schema_name)]
 
 
-def _same(value):
-    return value
-
-
-def _decoder(accept, requirement: str, convert=_same):
-    """A feature-record decode: reject a JSON value not accepted, else convert."""
-
-    def decode(value):
-        if not accept(value):
-            raise ValueError(f"{reprlib.repr(value)} is not {requirement}")
-        return convert(value)
-
-    return decode
-
-
-def _is_count(value) -> bool:
-    # A bool is an int to Python but not a count. Below 2**53 a count is
-    # exact as a float, and a mean of such counts cannot overflow one.
-    return type(value) is int and 0 <= value < 2**53
-
-
-# JSON escapes such as \ud800 decode to lone surrogates, which no UTF-8
-# output file can hold.
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _is_text(value) -> bool:
-    return isinstance(value, str) and not _SURROGATE.search(value)
-
-
-_string = _decoder(_is_text, "a string of Unicode text")
-_flag = _decoder(lambda v: isinstance(v, bool), "true or false")
-_count = _decoder(_is_count, "an integer from 0 to 2**53 - 1")
-_pages = _decoder(
-    lambda v: v is None or (_is_count(v) and v >= 1),
-    "null or an integer from 1 to 2**53 - 1",
-)
-_timestamp = _decoder(
-    lambda v: v is None or isinstance(v, str),
-    "a date string or null",
-    lambda text: iso_date(text) if text else None,
-)
-_names = _decoder(
-    lambda v: isinstance(v, list) and all(map(_is_text, v)), "a list of strings", tuple
-)
-
-# One row per key of a feature record, in output order: (wire name,
-# FeatureVector attribute, encode, decode). A row whose decode is None is
-# derived from its attribute on writing and ignored on reading.
-FEATURE_WIRE = (
-    ("id", "doc_id", _same, _string),
-    ("category", "category", _same, _string),
-    (
-        "timestamp",
-        "timestamp",
-        lambda stamp: stamp.isoformat() if stamp else None,
-        _timestamp,
-    ),
-    ("multi_file", "multi_file", _same, _flag),
-    ("words", "word_count", _same, _count),
-    ("comment_words", "comment_word_count", _same, _count),
-    ("pages", "page_count", _same, _pages),
-    ("packages", "package_count", _same, _count),
-    ("package_names", "package_names", list, _names),
-    ("newcommands", "newcommand_count", _same, _count),
-    ("theorems", "theorem_count", _same, _count),
-    ("theorem_like", "theorem_like_count", _same, _count),
-    ("figures", "figure_count", _same, _count),
-    ("includegraphics", "includegraphics_count", _same, _count),
-    ("epsfig_commands", "epsfig_command_count", _same, _count),
-    ("authors", "author_count", _same, _count),
-    ("author_block_found", "author_block_found", _same, _flag),
-    ("graphicx_declared", "graphicx_declared", _same, _flag),
-    ("graphicx_used", "includegraphics_count", lambda count: count > 0, None),
-    ("epsfig_declared", "epsfig_declared", _same, _flag),
-    ("epsfig_used", "epsfig_command_count", lambda count: count > 0, None),
-)
-
-
-def feature_record(fv: FeatureVector) -> dict:
-    """A feature vector as an ordered plain record."""
-    return {wire: encode(getattr(fv, attr)) for wire, attr, encode, _ in FEATURE_WIRE}
-
-
-def parse_feature_record(record: dict) -> FeatureVector:
-    """A feature vector from a plain record, checking each value's JSON type."""
-    values = {}
-    for wire, attr, _, decode in FEATURE_WIRE:
-        if decode is None:
-            continue
-        if wire not in record:
-            raise UsageError(f"feature record lacks {wire!r}")
-        try:
-            values[attr] = decode(record[wire])
-        except ValueError as exc:
-            raise UsageError(f"feature record {wire!r}: {exc}") from exc
-    return FeatureVector(**values)
-
-
 def read_features(path: str | Path) -> list[FeatureVector]:
     features = []
     for where, record in _numbered_records(path, FEATURES_SCHEMA):
         try:
             features.append(parse_feature_record(record))
-        except UsageError as exc:
+        except ValueError as exc:
             raise UsageError(f"{where}: {exc}") from exc
     return features
 

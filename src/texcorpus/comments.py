@@ -93,29 +93,22 @@ class NormalizingOracle:
             cached = self._last_first = (first, self._normalize(first))
         return cached[1] == self._normalize(second)
 
-    def comment_pairs(self, s: str) -> set[tuple[int, int]]:
-        """The comment matrix of s: every 1-based closed pair (i, j) whose
-        deletion from s is equivalent to s.
+    def maximal_pairs(self, s: str) -> list[tuple[int, int]]:
+        """The maximal comments of s, in increasing order: the 1-based closed
+        pairs (i, j) whose deletion from s is equivalent to s, where neither
+        (i - 1, j) nor (i, j + 1) is, as far as s leaves room for them.
 
         Asks ``equivalent`` once per pair, row by row (i ascending, then j),
         so it makes exactly n(n+1)/2 calls for a string of length n.
         """
         n = len(s)
         equivalent = self.equivalent
-        pairs: set[tuple[int, int]] = set()
-        for i in range(1, n + 1):
-            head = s[: i - 1]
-            for j in range(i, n + 1):
-                if equivalent(s, head + s[j:]):
-                    pairs.add((i, j))
-        return pairs
-
-    def maximal_pairs(self, s: str) -> list[tuple[int, int]]:
-        """The maximal comments of s, in increasing order: the pairs (i, j)
-        of ``comment_pairs(s)`` for which neither (i - 1, j) nor (i, j + 1)
-        is a pair, where s leaves room for them."""
-        n = len(s)
-        is_com = self.comment_pairs(s)
+        is_com = {
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+            if equivalent(s, s[: i - 1] + s[j:])
+        }
         return sorted(
             (i, j)
             for i, j in is_com

@@ -1,5 +1,6 @@
 """Per-document structure extraction: packages, graphics, theorems, authors,
-macro definitions and word counts, combined into one feature vector.
+macro definitions and word counts, combined into one ``FeatureVector``.
+The graphics, theorem and author extractors return its fields by name.
 
 All extractors walk the token stream from the lexer, so constructs inside
 line comments or verbatim regions are never miscounted. Documents made of
@@ -130,41 +131,24 @@ def extract_packages(source: str, tokens: TokenStream) -> list[str]:
     return names
 
 
-@dataclass(frozen=True)
-class GraphicsUse:
-    """Graphics package declarations versus actual inclusion commands."""
-
-    graphicx_declared: bool
-    epsfig_declared: bool
-    includegraphics_count: int
-    epsfig_command_count: int
-
-
-def analyze_graphics(tokens: TokenStream, packages: list[str]) -> GraphicsUse:
+def analyze_graphics(tokens: TokenStream, packages: list[str]) -> dict:
+    """The ``FeatureVector`` graphics fields: packages declared, commands used."""
     declared = set(packages)
     commands = tokens.commands
-    return GraphicsUse(
-        graphicx_declared="graphicx" in declared,
-        epsfig_declared="epsfig" in declared,
-        includegraphics_count=len(commands.get("includegraphics", ())),
-        epsfig_command_count=len(commands.get("epsfig", ())),
-    )
-
-
-@dataclass(frozen=True)
-class TheoremCounts:
-    """Theorem environments used, split from lemma-grade environments."""
-
-    theorem_count: int
-    theorem_like_count: int
+    return {
+        "graphicx_declared": "graphicx" in declared,
+        "epsfig_declared": "epsfig" in declared,
+        "includegraphics_count": len(commands.get("includegraphics", ())),
+        "epsfig_command_count": len(commands.get("epsfig", ())),
+    }
 
 
 _THEOREM_TITLES = {"theorem", "lemma", "proposition", "corollary"}
 _BUILTIN_THEOREM_RE = re.compile(r"(theorem|lemma|proposition|corollary)\*?\Z", re.IGNORECASE)
 
 
-def extract_theorems(source: str, tokens: TokenStream) -> TheoremCounts:
-    """Count \\begin{...} uses of theorem environments.
+def extract_theorems(source: str, tokens: TokenStream) -> dict:
+    """Count \\begin{...} uses of theorem environments, as ``FeatureVector`` fields.
 
     \\newtheorem{env}{Title} binds env to the class of its title when the
     title is Theorem/Lemma/Proposition/Corollary; standard environment
@@ -215,7 +199,7 @@ def extract_theorems(source: str, tokens: TokenStream) -> TheoremCounts:
                 theorem += 1
             elif cls is not None:
                 theorem_like += 1
-    return TheoremCounts(theorem_count=theorem, theorem_like_count=theorem_like)
+    return {"theorem_count": theorem, "theorem_like_count": theorem_like}
 
 
 def count_figures(source: str, tokens: TokenStream) -> int:
@@ -231,14 +215,6 @@ def count_figures(source: str, tokens: TokenStream) -> int:
 def count_newcommands(tokens: TokenStream) -> int:
     """Number of \\newcommand and \\renewcommand definitions."""
     return len(tokens.command_positions(("newcommand", "renewcommand")))
-
-
-@dataclass(frozen=True)
-class AuthorInfo:
-    """Author count plus whether any \\author declaration was found."""
-
-    count: int
-    block_found: bool
 
 
 _AUTHOR_NOISE_MACROS = {"thanks", "affil", "affiliation"}
@@ -285,8 +261,9 @@ def _count_block_authors(tokens: TokenStream, open_idx: int) -> int:
     return count + _segment_has_words(tokens, start, close)
 
 
-def extract_authors(source: str, tokens: TokenStream) -> AuthorInfo:
-    """Count authors from \\author declarations.
+def extract_authors(source: str, tokens: TokenStream) -> dict:
+    """The ``FeatureVector`` author fields: the author count from \\author
+    declarations, and whether a non-empty one was found.
 
     Several \\author blocks before \\maketitle mean one author per block
     (the affiliation-package convention). A single block is split on \\and
@@ -309,13 +286,11 @@ def extract_authors(source: str, tokens: TokenStream) -> AuthorInfo:
         if group[0].strip():
             blocks.append(idx)
 
-    if not blocks:
-        return AuthorInfo(count=0, block_found=False)
-    if len(blocks) > 1:
-        return AuthorInfo(count=len(blocks), block_found=True)
-    return AuthorInfo(
-        count=_count_block_authors(tokens, blocks[0]), block_found=True
-    )
+    if len(blocks) == 1:
+        count = _count_block_authors(tokens, blocks[0])
+    else:
+        count = len(blocks)
+    return {"author_count": count, "author_block_found": bool(blocks)}
 
 
 def _to_char_ranges(spans: list[CommentSpan]) -> list[tuple[int, int]]:
@@ -404,9 +379,6 @@ def extract_document(doc: SourceDocument) -> ExtractionResult:
     c_words = comment_words(comments)
 
     packages = extract_packages(source, tokens)
-    graphics = analyze_graphics(tokens, packages)
-    theorems = extract_theorems(source, tokens)
-    authors = extract_authors(source, tokens)
     distinct_packages = tuple(sorted(set(packages)))
 
     features = FeatureVector(
@@ -420,15 +392,10 @@ def extract_document(doc: SourceDocument) -> ExtractionResult:
         package_count=len(distinct_packages),
         package_names=distinct_packages,
         newcommand_count=count_newcommands(tokens),
-        theorem_count=theorems.theorem_count,
-        theorem_like_count=theorems.theorem_like_count,
         figure_count=count_figures(source, tokens),
-        includegraphics_count=graphics.includegraphics_count,
-        epsfig_command_count=graphics.epsfig_command_count,
-        graphicx_declared=graphics.graphicx_declared,
-        epsfig_declared=graphics.epsfig_declared,
-        author_count=authors.count,
-        author_block_found=authors.block_found,
+        **analyze_graphics(tokens, packages),
+        **extract_theorems(source, tokens),
+        **extract_authors(source, tokens),
     )
     return ExtractionResult(
         features=features,

@@ -235,10 +235,10 @@ def _summary(category: str, group: list[FeatureVector]) -> CorpusSummary:
             page_histogram, key=lambda p: (-page_histogram[p], p), default=None
         ),
         fraction_graphicx_unused=_mean(
-            fv.graphicx_unused for fv in group if fv.graphicx_declared
+            fv.includegraphics_count == 0 for fv in group if fv.graphicx_declared
         ),
         fraction_epsfig_unused=_mean(
-            fv.epsfig_unused for fv in group if fv.epsfig_declared
+            fv.epsfig_command_count == 0 for fv in group if fv.epsfig_declared
         ),
         page_histogram=dict(sorted(page_histogram.items())),
         monthly_histogram=tuple(months[m] for m in range(1, 13)),

@@ -28,7 +28,7 @@ from texcorpus.classify import (
     train_classifier,
     train_test_split,
 )
-from texcorpus.cli import feature_record, main
+from texcorpus.cli import main
 from texcorpus.comments import (
     OverlappingMaximalComments,
     is_comment,
@@ -45,6 +45,7 @@ from texcorpus.harvest import (
     unpack,
 )
 from texcorpus.lexer import LINE_COMMENT, SourceDocument, tokenize
+from texcorpus.records import feature_record
 from texcorpus.store import CorpusStore, PathTraversal
 from texcorpus.stats import (
     FilterSpec,

@@ -1,4 +1,5 @@
-"""What importing the package, its CLI and its classifier loads."""
+"""What importing the package, its CLI and its classifier loads, and that
+each name is imported from the module that defines it."""
 
 import ast
 import os
@@ -10,8 +11,10 @@ import pytest
 
 import texcorpus
 from synth import two_class_corpus
-from texcorpus.cli import FEATURES_SCHEMA, NdjsonWriter, feature_record
+from test_readme import python_blocks
+from texcorpus.cli import FEATURES_SCHEMA, NdjsonWriter
 from texcorpus.lexer import SourceDocument
+from texcorpus.records import feature_record
 from texcorpus.store import CorpusStore
 
 SRC = Path(texcorpus.__file__).resolve().parent.parent
@@ -98,3 +101,38 @@ class TestLazyImports:
 
     def test_classifier_name_loads_numpy(self):
         assert modules_after("import texcorpus.classify") == ["numpy"]
+
+
+def defined_names(module: str) -> set[str]:
+    """The names a module binds itself at top level, by def, class or
+    assignment; a name it imports is not among them."""
+    path = SRC / Path(*module.split(".")).with_suffix(".py")
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            )
+    return names
+
+
+def test_one_import_path_per_name():
+    # every name the tests and the README's example take from a texcorpus
+    # module is one that module defines, not one it imports
+    tests = Path(__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in tests.glob("*.py")}
+    (sources["README.md"],) = python_blocks()
+    imported = [
+        (where, node.module, alias.name)
+        for where, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("texcorpus.")
+        for alias in node.names
+    ]
+    assert imported
+    stray = [entry for entry in imported if entry[2] not in defined_names(entry[1])]
+    assert stray == []

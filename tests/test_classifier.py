@@ -23,7 +23,7 @@ from texcorpus.classify import (
     train_test_split,
     _sigmoid,
 )
-from texcorpus.cli import parse_feature_record
+from texcorpus.records import parse_feature_record
 
 
 def numeric_gradient(weights, bias, X, y, l2, eps=1e-6):

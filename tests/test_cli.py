@@ -21,19 +21,22 @@ from hypothesis import strategies as st
 
 import texcorpus
 from synth import two_class_corpus
-from texcorpus import cli, harvest
+from texcorpus import harvest
 from texcorpus import features as features_mod
 from texcorpus.cli import (
     CLASSIFY_SCHEMA,
     FEATURES_SCHEMA,
     NdjsonWriter,
-    feature_record,
     main,
-    parse_feature_record,
     read_ndjson,
 )
 from texcorpus.lexer import MAX_PAGE_COUNT, SourceDocument
-from texcorpus.records import FeatureVector
+from texcorpus.records import (
+    FEATURE_WIRE,
+    FeatureVector,
+    feature_record,
+    parse_feature_record,
+)
 from texcorpus.store import CorpusStore
 
 DOCS = [
@@ -1089,6 +1092,7 @@ class TestMalformedRecords:
             ("category", "\ud800"),
             ("timestamp", 20010310),
             ("timestamp", "2001-13-40"),
+            ("timestamp", ""),
             # read as dates by Python 3.11 and later only
             ("timestamp", "20010311"),
             ("timestamp", "2001-W10-6"),
@@ -1165,7 +1169,7 @@ class TestFeatureRecordFuzz:
 
     @given(
         index=st.integers(0, 7),
-        key=st.sampled_from([wire for wire, *_ in cli.FEATURE_WIRE]),
+        key=st.sampled_from([wire for wire, *_ in FEATURE_WIRE]),
         value=JSON_VALUES,
     )
     @settings(

@@ -301,7 +301,7 @@ class TestPartition:
         assert partition_maximal_comments(short, shared) == fresh == [(2, 3)]
         assert shared.calls == 406 + 15
 
-    def test_reference_oracle_skips_deletions_shorter_than_normal_form(
+    def test_reference_oracle_normalizes_only_the_input_and_counts_every_deletion(
         self, monkeypatch
     ):
         normalized = []

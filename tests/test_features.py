@@ -160,29 +160,31 @@ class TestGraphics:
     def test_declared_and_used(self):
         source = "\\usepackage{graphicx}\\includegraphics{a}\\includegraphics{b}"
         use = self.analyze(source)
-        assert use.graphicx_declared and use.includegraphics_count == 2
-        assert not self.features(source).graphicx_unused
+        assert use["graphicx_declared"] and use["includegraphics_count"] == 2
+        assert self.features(source).includegraphics_count == 2
 
     def test_declared_unused(self):
         source = r"\usepackage{graphicx}"
-        assert self.analyze(source).graphicx_declared
-        assert self.features(source).graphicx_unused
+        assert self.analyze(source)["graphicx_declared"]
+        fv = self.features(source)
+        assert fv.graphicx_declared and fv.includegraphics_count == 0
 
     def test_epsfig(self):
         source = r"\usepackage{epsfig}\epsfig{file=x.eps}"
         use = self.analyze(source)
-        assert use.epsfig_declared and use.epsfig_command_count == 1
-        assert not self.features(source).epsfig_unused
+        assert use["epsfig_declared"] and use["epsfig_command_count"] == 1
+        assert self.features(source).epsfig_command_count == 1
 
     def test_epsfig_declared_unused(self):
-        assert self.features(r"\usepackage{epsfig}").epsfig_unused
+        fv = self.features(r"\usepackage{epsfig}")
+        assert fv.epsfig_declared and fv.epsfig_command_count == 0
 
     def test_used_without_declaration(self):
         source = r"\includegraphics{a}"
         use = self.analyze(source)
-        assert not use.graphicx_declared
-        assert use.includegraphics_count == 1
-        assert not self.features(source).graphicx_unused
+        assert not use["graphicx_declared"]
+        assert use["includegraphics_count"] == 1
+        assert not self.features(source).graphicx_declared
 
 
 class TestTheorems:
@@ -193,53 +195,53 @@ class TestTheorems:
         counts = self.count(
             "\\begin{theorem}a\\end{theorem}\\begin{theorem}b\\end{theorem}"
         )
-        assert counts.theorem_count == 2
+        assert counts["theorem_count"] == 2
 
     def test_lemma_grade_environments(self):
         counts = self.count(
             "\\begin{lemma}x\\end{lemma}\\begin{corollary}y\\end{corollary}"
             "\\begin{proposition}z\\end{proposition}"
         )
-        assert counts.theorem_count == 0
-        assert counts.theorem_like_count == 3
+        assert counts["theorem_count"] == 0
+        assert counts["theorem_like_count"] == 3
 
     def test_newtheorem_binding(self):
         counts = self.count(
             "\\newtheorem{thm}{Theorem}\\begin{thm}x\\end{thm}\\begin{thm}y\\end{thm}"
         )
-        assert counts.theorem_count == 2
+        assert counts["theorem_count"] == 2
 
     def test_binding_with_shared_counter(self):
         counts = self.count(
             "\\newtheorem{thm}{Theorem}\\newtheorem{lem}[thm]{Lemma}"
             "\\begin{lem}x\\end{lem}"
         )
-        assert counts.theorem_like_count == 1
+        assert counts["theorem_like_count"] == 1
 
     def test_binding_with_within_suffix(self):
         counts = self.count(
             "\\newtheorem{thm}{Theorem}[section]\\begin{thm}x\\end{thm}"
         )
-        assert counts.theorem_count == 1
+        assert counts["theorem_count"] == 1
 
     def test_starred_newtheorem(self):
         counts = self.count("\\newtheorem*{thm}{Theorem}\\begin{thm}x\\end{thm}")
-        assert counts.theorem_count == 1
+        assert counts["theorem_count"] == 1
 
     def test_unrelated_title_not_bound(self):
         counts = self.count(
             "\\newtheorem{rem}{Remark}\\begin{rem}x\\end{rem}"
         )
-        assert counts.theorem_count == 0
-        assert counts.theorem_like_count == 0
+        assert counts["theorem_count"] == 0
+        assert counts["theorem_like_count"] == 0
 
     def test_starred_builtin(self):
         counts = self.count("\\begin{theorem*}x\\end{theorem*}")
-        assert counts.theorem_count == 1
+        assert counts["theorem_count"] == 1
 
     def test_commented_environment_ignored(self):
         counts = self.count("% \\begin{theorem}x\\end{theorem}\n")
-        assert counts.theorem_count == 0
+        assert counts["theorem_count"] == 0
 
 
 class TestFigures:
@@ -258,45 +260,45 @@ class TestAuthors:
 
     def test_and_separator(self):
         info = self.authors(r"\author{Ann One \and Bob Two}\maketitle")
-        assert info.count == 2 and info.block_found
+        assert info["author_count"] == 2 and info["author_block_found"]
 
     def test_linebreak_separator(self):
         info = self.authors("\\author{Ann One \\\\ Bob Two \\\\ Cid Three}")
-        assert info.count == 3
+        assert info["author_count"] == 3
 
     def test_single_author(self):
-        assert self.authors(r"\author{Ann One}").count == 1
+        assert self.authors(r"\author{Ann One}")["author_count"] == 1
 
     def test_repeated_author_blocks(self):
         source = (
             r"\author[1]{Ann}\author[2]{Bob}\author[1]{Cid}\maketitle"
         )
         info = self.authors(source)
-        assert info.count == 3 and info.block_found
+        assert info["author_count"] == 3 and info["author_block_found"]
 
     def test_thanks_not_an_author(self):
         info = self.authors(r"\author{Ann One\thanks{funded by X} \and Bob}")
-        assert info.count == 2
+        assert info["author_count"] == 2
 
     def test_separator_with_only_affiliation_macro(self):
         info = self.authors(r"\author{Ann \\ \affil{Somewhere}}")
-        assert info.count == 1
+        assert info["author_count"] == 1
 
     def test_blocks_after_maketitle_ignored(self):
         info = self.authors(r"\author{Ann}\maketitle\author{Ghost}")
-        assert info.count == 1
+        assert info["author_count"] == 1
 
     def test_no_author(self):
         info = self.authors("no declaration here")
-        assert info.count == 0 and not info.block_found
+        assert info["author_count"] == 0 and not info["author_block_found"]
 
     def test_empty_author_block(self):
         info = self.authors(r"\author{}")
-        assert info.count == 0 and not info.block_found
+        assert info["author_count"] == 0 and not info["author_block_found"]
 
     def test_nested_braces_do_not_split(self):
         info = self.authors("\\author{Ann {One \\and Still One}}")
-        assert info.count == 1
+        assert info["author_count"] == 1
 
 
 class TestWords:
